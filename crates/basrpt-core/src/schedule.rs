@@ -1,7 +1,6 @@
 //! Crossbar schedules (matchings between ingress and egress ports).
 
 use dcn_types::{FlowId, HostId, PortSet, Voq};
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -36,8 +35,9 @@ impl Error for ScheduleError {}
 /// schedule that exists is valid by construction.
 ///
 /// Port occupancy is tracked in dense [`PortSet`] bitmaps, so the greedy
-/// admission loops ([`Schedule::admits`]) and flow membership
-/// ([`Schedule::contains`]) are `O(1)`.
+/// admission loops ([`Schedule::admits`], [`Schedule::add`]) are `O(1)`
+/// and hash nothing. Flow membership ([`Schedule::contains`]) is a scan:
+/// no decision path asks it, so no per-decision index is kept for it.
 ///
 /// # Example
 ///
@@ -55,14 +55,13 @@ impl Error for ScheduleError {}
 #[derive(Debug, Clone, Default)]
 pub struct Schedule {
     selected: Vec<(FlowId, Voq)>,
-    flows: HashSet<FlowId>,
     busy_ingress: PortSet,
     busy_egress: PortSet,
 }
 
 /// Two schedules are equal when they select the same flows in the same
-/// order; the busy sets and membership index are derived from `selected`,
-/// so they never need comparing.
+/// order; the busy sets are derived from `selected`, so they never need
+/// comparing.
 impl PartialEq for Schedule {
     fn eq(&self, other: &Self) -> bool {
         self.selected == other.selected
@@ -116,7 +115,6 @@ impl Schedule {
         }
         self.busy_ingress.insert(voq.src());
         self.busy_egress.insert(voq.dst());
-        self.flows.insert(flow);
         self.selected.push((flow, voq));
         Ok(())
     }
@@ -132,9 +130,10 @@ impl Schedule {
         self.selected.iter().map(|&(id, _)| id)
     }
 
-    /// Whether this schedule selects the given flow. `O(1)`.
+    /// Whether this schedule selects the given flow. `O(len)`: a scan
+    /// of the selection, which holds at most one flow per ingress port.
     pub fn contains(&self, flow: FlowId) -> bool {
-        self.flows.contains(&flow)
+        self.selected.iter().any(|&(id, _)| id == flow)
     }
 
     /// Consumes the schedule, returning the selected `(flow, voq)` pairs

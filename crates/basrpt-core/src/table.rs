@@ -36,6 +36,9 @@ pub enum FlowTableError {
     DuplicateFlow(FlowId),
     /// No active flow has this identifier.
     UnknownFlow(FlowId),
+    /// Inserting this flow would overflow a `u64` backlog sum (its VOQ's,
+    /// its ingress port's, or the table total); the table is unchanged.
+    BacklogOverflow(FlowId),
 }
 
 impl fmt::Display for FlowTableError {
@@ -43,6 +46,9 @@ impl fmt::Display for FlowTableError {
         match self {
             FlowTableError::DuplicateFlow(id) => write!(f, "flow {id} is already active"),
             FlowTableError::UnknownFlow(id) => write!(f, "flow {id} is not active"),
+            FlowTableError::BacklogOverflow(id) => {
+                write!(f, "flow {id} would overflow the 64-bit backlog sums")
+            }
         }
     }
 }
@@ -795,14 +801,26 @@ impl FlowTable {
     ///
     /// # Errors
     ///
-    /// Returns [`FlowTableError::DuplicateFlow`] if the id is already active.
+    /// Returns [`FlowTableError::DuplicateFlow`] if the id is already
+    /// active, and [`FlowTableError::BacklogOverflow`] if the flow's
+    /// remaining size would overflow its VOQ's, its ingress port's or the
+    /// total backlog. Either way the table is left unchanged.
     pub fn insert(&mut self, flow: FlowState) -> Result<(), FlowTableError> {
         if self.flow_slots.contains_key(&flow.id()) {
             return Err(FlowTableError::DuplicateFlow(flow.id()));
         }
         let voq = flow.voq();
-        let vs = match self.voq_lookup.get(&voq) {
-            Some(&vs) => vs,
+        let existing = self.voq_lookup.get(&voq).copied();
+        let voq_backlog = existing.map_or(0, |vs| self.voq_slots[vs as usize].backlog);
+        let ingress_backlog = self.ingress_backlog(voq.src());
+        let fits = [voq_backlog, ingress_backlog, self.total_backlog]
+            .iter()
+            .all(|sum| sum.checked_add(flow.remaining()).is_some());
+        if !fits {
+            return Err(FlowTableError::BacklogOverflow(flow.id()));
+        }
+        let vs = match existing {
+            Some(vs) => vs,
             None => {
                 let vs = u32::try_from(self.voq_slots.len()).expect("VOQ slot count fits u32");
                 self.voq_slots.push(VoqSlot::empty(voq));
@@ -1198,6 +1216,29 @@ mod tests {
             t.insert(flow(1, 2, 3, 4)),
             Err(FlowTableError::DuplicateFlow(FlowId::new(1)))
         );
+    }
+
+    #[test]
+    fn backlog_overflow_is_rejected_before_any_mutation() {
+        let mut t = FlowTable::new();
+        t.insert(flow(1, 0, 1, u64::MAX)).unwrap();
+        // Disjoint ports: only the table total would overflow.
+        assert_eq!(
+            t.insert(flow(2, 2, 3, u64::MAX)),
+            Err(FlowTableError::BacklogOverflow(FlowId::new(2)))
+        );
+        // Same VOQ: all three sums would overflow.
+        assert_eq!(
+            t.insert(flow(3, 0, 1, u64::MAX)),
+            Err(FlowTableError::BacklogOverflow(FlowId::new(3)))
+        );
+        assert_eq!(t.len(), 1);
+        assert!(t.get(FlowId::new(2)).is_none());
+        assert_eq!(t.total_backlog(), u64::MAX);
+        assert_eq!(t.voq_backlog(voq(2, 3)), 0);
+        assert_eq!(t.ingress_backlog(HostId::new(2)), 0);
+        assert_eq!(t.num_nonempty_voqs(), 1);
+        t.check_invariants().unwrap();
     }
 
     #[test]

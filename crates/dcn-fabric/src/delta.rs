@@ -45,21 +45,23 @@
 //! Schedulers that decide from per-VOQ views cannot read the (stale)
 //! table directly in lazy mode; [`DeltaAllocator::live_views`] lends them
 //! a [`ViewAdjust`] lens that subtracts each VOQ's unsettled bytes on the
-//! fly — `O(1)` per VOQ, two hash lookups — reproducing exactly the views
-//! an eagerly settled table would have served (same champion, same
-//! tie-breaks). Disciplines opt in via
+//! fly — `O(1)` per VOQ, one probe of a VOQ-keyed map under the cheap
+//! multiplicative [`FastHasher`](dcn_types::FastHasher) — reproducing
+//! exactly the views an eagerly settled table would have served (same
+//! champion, same tie-breaks). Disciplines opt in via
 //! [`Scheduler::supports_lazy_views`](basrpt_core::Scheduler::supports_lazy_views);
 //! everything else (and every run under a per-flow-fidelity probe, or
 //! with `BASRPT_SETTLE=eager`) takes the eager path, which settles every
 //! account on every event exactly like the reference engines.
 //!
-//! The change-log cursors and champion index of `basrpt-core` (PR 5) play
-//! the same role one layer down: they make the *decision* incremental,
-//! while this module makes the *binding and accounting* of the decision
-//! incremental. Run an
-//! [`IncrementalScheduler`](basrpt_core::IncrementalScheduler) inside the
-//! delta engine and every layer of the per-event path is `O(affected)`;
-//! `PERFMODEL.md` has the full cost model.
+//! The decision itself is not incremental: every reschedule re-collects,
+//! adjusts and ranks every non-empty VOQ (`O(Q log Q)` for `Q` VOQs).
+//! [`IncrementalScheduler`](basrpt_core::IncrementalScheduler) reports
+//! `supports_lazy_views() == false`, so running it inside this engine does
+//! **not** compose into an all-`O(affected)` path: the engine falls back
+//! to eager settlement, an `O(n)` sweep per event, and the run is slower
+//! than with the one-pass disciplines. `PERFMODEL.md` §2 has the cost
+//! model and the measured split of the decision.
 //!
 //! The full-recompute binding survives as [`crate::reference`] and the
 //! differential suites (`tests/delta_differential.rs`,
@@ -69,9 +71,8 @@ use crate::calendar::CompletionCalendar;
 use crate::engine::ScheduledEntry;
 use crate::topology::Topology;
 use basrpt_core::{ViewAdjust, VoqView};
-use dcn_types::{FlowId, Rate, SimTime, Voq};
+use dcn_types::{FastMap, FastSet, FlowId, Rate, SimTime, Voq};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
 
 /// The allocation delta of one [`DeltaAllocator::apply`] call: how many
 /// flows entered, left, and kept their rate across the reschedule.
@@ -183,12 +184,14 @@ pub struct SettledDrain {
 pub struct DeltaAllocator {
     rate: Rate,
     calendar: CompletionCalendar,
-    /// Byte accounts of the live scheduled flows.
-    entries: HashMap<FlowId, ScheduledEntry>,
-    /// `VOQ → scheduled flow` — the [`live_views`](DeltaAllocator::live_views)
-    /// lens resolves each VOQ's unsettled bytes through this (a matching
-    /// schedules at most one flow per VOQ).
-    by_voq: HashMap<Voq, FlowId>,
+    /// Byte accounts of the live scheduled flows, keyed by VOQ (a
+    /// matching schedules at most one flow per VOQ), so the
+    /// [`live_views`](DeltaAllocator::live_views) lens resolves a VOQ's
+    /// transmitting flow and its unsettled bytes in one probe.
+    entries: FastMap<Voq, ScheduledEntry>,
+    /// `flow → VOQ` for the live scheduled flows — how the calendar's
+    /// flow-keyed completions find their account.
+    voq_of: FastMap<FlowId, Voq>,
     /// The previous selection in priority order — what `apply` diffs the
     /// next selection against, and the order every settlement path emits
     /// drains in. May contain *tombstones*: pairs whose flow completed
@@ -204,8 +207,8 @@ impl DeltaAllocator {
         DeltaAllocator {
             rate,
             calendar: CompletionCalendar::new(),
-            entries: HashMap::new(),
-            by_voq: HashMap::new(),
+            entries: FastMap::default(),
+            voq_of: FastMap::default(),
             sel: Vec::new(),
             stats: DeltaStats::default(),
         }
@@ -235,8 +238,9 @@ impl DeltaAllocator {
     /// Rebinds the allocator to a new schedule, computed at instant `now`,
     /// and returns the allocation delta.
     ///
-    /// `selected` is the matching in priority order; each flow must appear
-    /// at most once (a [`basrpt_core::Schedule`] guarantees this). Flows
+    /// `selected` is the matching in priority order; each flow and each VOQ
+    /// must appear at most once (a [`basrpt_core::Schedule`] guarantees
+    /// both: it holds one flow per ingress port). Flows
     /// already scheduled keep their drain epoch and calendar entry
     /// untouched; flows entering open a fresh epoch at `now` over
     /// `remaining(flow)` bytes (read lazily, only for entrants); flows of
@@ -281,49 +285,23 @@ impl DeltaAllocator {
             ..DeltaOutcome::default()
         };
 
-        // New-side window: classify entrants vs flows that merely moved
-        // position. A windowed flow that is still scheduled must also sit
-        // in the old window (it cannot occupy a matched position of the
-        // old selection without duplicating a pair), so the two windows
-        // are self-contained.
-        for &(id, voq) in &self.sel[lo..n_new - hi] {
-            match self.entries.entry(id) {
-                Entry::Occupied(slot) => {
-                    debug_assert_eq!(slot.get().voq, voq, "a flow's VOQ is fixed");
-                    out.kept += 1;
-                }
-                Entry::Vacant(slot) => {
-                    let entry = ScheduledEntry::new(id, voq, now, remaining(id), self.rate);
-                    self.calendar.update(id, entry.completes_at);
-                    self.by_voq.insert(voq, id);
-                    slot.insert(entry);
-                    out.entered += 1;
-                }
-            }
-        }
-
-        // Old-side window: anything not re-selected has left (or is a
-        // completion tombstone, already absent from `entries`). Leavers
-        // settle to `now` first so the bytes they moved while scheduled
-        // are never lost — in eager mode every account was settled this
-        // instant already, so the owed amount is zero and no drain fires.
+        // Old-side window first: anything not re-selected has left (or is
+        // a completion tombstone, already absent from `entries`). Evicting
+        // before admitting frees each leaver's VOQ slot for an entrant of
+        // the same VOQ (same src-dst preemption). Leavers settle to `now`
+        // first so the bytes they moved while scheduled are never lost — in
+        // eager mode every account was settled this instant already, so the
+        // owed amount is zero and no drain fires.
         if lo + hi < n_old {
-            let reselected: HashSet<FlowId> =
+            let reselected: FastSet<FlowId> =
                 self.sel[lo..n_new - hi].iter().map(|&(id, _)| id).collect();
-            for &(id, _) in &old[lo..n_old - hi] {
+            for &(id, voq) in &old[lo..n_old - hi] {
                 if reselected.contains(&id) {
                     continue;
                 }
-                let Some(entry) = self.entries.remove(&id) else {
+                let Some(entry) = self.take_entry(id, voq) else {
                     continue; // completion tombstone, swept for free
                 };
-                self.calendar.remove(id);
-                // An entrant may have re-bound this VOQ already (same
-                // src-dst preemption); only unbind if the slot is still
-                // ours.
-                if self.by_voq.get(&entry.voq) == Some(&id) {
-                    self.by_voq.remove(&entry.voq);
-                }
                 let owed = entry.target_at(now, self.rate) - entry.settled;
                 if owed > 0 {
                     debug_assert!(
@@ -332,12 +310,33 @@ impl DeltaAllocator {
                     );
                     on_evict(SettledDrain {
                         flow: id,
-                        voq: entry.voq,
+                        voq,
                         amount: owed,
                         completed: false,
                     });
                 }
                 out.left += 1;
+            }
+        }
+
+        // New-side window: classify entrants vs flows that merely moved
+        // position. A windowed flow that is still scheduled must also sit
+        // in the old window (it cannot occupy a matched position of the
+        // old selection without duplicating a pair), so the two windows
+        // are self-contained.
+        for &(id, voq) in &self.sel[lo..n_new - hi] {
+            match self.entries.entry(voq) {
+                Entry::Occupied(slot) => {
+                    debug_assert_eq!(slot.get().flow, id, "one scheduled flow per VOQ");
+                    out.kept += 1;
+                }
+                Entry::Vacant(slot) => {
+                    let entry = ScheduledEntry::new(id, voq, now, remaining(id), self.rate);
+                    self.calendar.update(id, entry.completes_at);
+                    self.voq_of.insert(id, voq);
+                    slot.insert(entry);
+                    out.entered += 1;
+                }
             }
         }
 
@@ -348,11 +347,32 @@ impl DeltaAllocator {
         out
     }
 
-    /// Settles the byte account of one live flow at instant `t`,
-    /// evicting it first if the settlement completes it.
-    fn settle_one(&mut self, id: FlowId, t: SimTime, on_drain: &mut impl FnMut(SettledDrain)) {
-        let Some(entry) = self.entries.get_mut(&id) else {
-            return;
+    /// Removes live flow `id`'s account (bound to `voq`) from every index,
+    /// or returns `None` when `id` is no longer live there (a completion
+    /// tombstone).
+    fn take_entry(&mut self, id: FlowId, voq: Voq) -> Option<ScheduledEntry> {
+        let Entry::Occupied(slot) = self.entries.entry(voq) else {
+            return None;
+        };
+        if slot.get().flow != id {
+            return None;
+        }
+        self.voq_of.remove(&id);
+        self.calendar.remove(id);
+        Some(slot.remove())
+    }
+
+    /// Settles the byte account of live flow `id` (bound to `voq`) at
+    /// instant `t`, evicting it first if the settlement completes it.
+    fn settle_one(
+        &mut self,
+        id: FlowId,
+        voq: Voq,
+        t: SimTime,
+        on_drain: &mut impl FnMut(SettledDrain),
+    ) {
+        let Some(entry) = self.entries.get_mut(&voq).filter(|e| e.flow == id) else {
+            return; // completion tombstone
         };
         let target = entry.target_at(t, self.rate);
         let amount = target - entry.settled;
@@ -361,11 +381,8 @@ impl DeltaAllocator {
         }
         entry.settled = target;
         let completed = entry.settled == entry.epoch_remaining;
-        let voq = entry.voq;
         if completed {
-            self.entries.remove(&id);
-            self.calendar.remove(id);
-            self.by_voq.remove(&voq);
+            self.take_entry(id, voq);
         }
         on_drain(SettledDrain {
             flow: id,
@@ -390,22 +407,23 @@ impl DeltaAllocator {
         match self.calendar.pop_due(t) {
             None => {
                 // The common case: one completion, zero touches elsewhere.
-                self.settle_one(first, t, &mut on_drain);
+                let voq = self.voq_of[&first];
+                self.settle_one(first, voq, t, &mut on_drain);
             }
             Some(second) => {
-                let mut due: HashSet<FlowId> = HashSet::from([first, second]);
+                let mut due: FastSet<FlowId> = FastSet::from_iter([first, second]);
                 while let Some(next) = self.calendar.pop_due(t) {
                     due.insert(next);
                 }
-                let ordered: Vec<FlowId> = self
+                let ordered: Vec<(FlowId, Voq)> = self
                     .sel
                     .iter()
-                    .map(|&(id, _)| id)
-                    .filter(|id| due.contains(id))
+                    .copied()
+                    .filter(|(id, _)| due.contains(id))
                     .collect();
                 debug_assert_eq!(ordered.len(), due.len());
-                for id in ordered {
-                    self.settle_one(id, t, &mut on_drain);
+                for (id, voq) in ordered {
+                    self.settle_one(id, voq, t, &mut on_drain);
                 }
             }
         }
@@ -427,8 +445,8 @@ impl DeltaAllocator {
         // over a clone-free snapshot of the priority order is sound; the
         // explicit index keeps the borrow checker out of the closure.
         for i in 0..self.sel.len() {
-            let id = self.sel[i].0;
-            self.settle_one(id, t, &mut |d| {
+            let (id, voq) = self.sel[i];
+            self.settle_one(id, voq, t, &mut |d| {
                 completed_any |= d.completed;
                 on_drain(d);
             });
@@ -441,7 +459,8 @@ impl DeltaAllocator {
     /// scheduled flow's unsettled drain from the backlog and re-derives
     /// the champion under the table's exact `(remaining, id)` tie-break,
     /// so a scheduler deciding from adjusted views sees precisely the
-    /// views an eagerly settled table would serve. `O(1)` per VOQ.
+    /// views an eagerly settled table would serve. `O(1)` per VOQ: one
+    /// probe of the VOQ-keyed account map.
     pub fn live_views(&self, now: SimTime) -> LiveViews<'_> {
         LiveViews { alloc: self, now }
     }
@@ -453,7 +472,7 @@ impl DeltaAllocator {
     pub(crate) fn snapshot_entries(&self) -> Vec<ScheduledEntry> {
         self.sel
             .iter()
-            .filter_map(|(id, _)| self.entries.get(id))
+            .filter_map(|(id, voq)| self.entries.get(voq).filter(|e| e.flow == *id))
             .copied()
             .collect()
     }
@@ -472,19 +491,19 @@ impl DeltaAllocator {
         alloc.stats = stats;
         for entry in entries {
             alloc.calendar.update(entry.flow, entry.completes_at);
-            let replaced = alloc.entries.insert(entry.flow, entry);
+            let replaced = alloc.entries.insert(entry.voq, entry);
             debug_assert!(
                 replaced.is_none(),
-                "snapshot entries must be unique per flow"
+                "snapshot entries must be unique per VOQ"
             );
-            alloc.by_voq.insert(entry.voq, entry.flow);
+            alloc.voq_of.insert(entry.flow, entry.voq);
             alloc.sel.push((entry.flow, entry.voq));
         }
         alloc
     }
 
-    /// Consistency check: the calendar's live set, the VOQ index, and the
-    /// selection all mirror the entry map exactly (same flows, same
+    /// Consistency check: the calendar's live set, the flow index, and the
+    /// selection all mirror the account map exactly (same flows, same
     /// instants, priority order covering every live flow once). Linear;
     /// intended for tests.
     pub fn check_consistent(&mut self) -> Result<(), String> {
@@ -495,30 +514,30 @@ impl DeltaAllocator {
                 self.entries.len()
             ));
         }
-        if self.by_voq.len() != self.entries.len() {
+        if self.voq_of.len() != self.entries.len() {
             return Err(format!(
-                "{} VOQ index entries but {} live flows",
-                self.by_voq.len(),
+                "{} flow index entries but {} live flows",
+                self.voq_of.len(),
                 self.entries.len()
             ));
         }
-        let mut seen = HashSet::new();
+        let mut seen = FastSet::default();
         let mut want = SimTime::INFINITY;
         for &(id, voq) in &self.sel {
-            let Some(entry) = self.entries.get(&id) else {
+            if self.voq_of.get(&id) != Some(&voq) {
+                if self.voq_of.contains_key(&id) {
+                    return Err(format!(
+                        "flow {id} selected on {voq:?}, bound to a different VOQ"
+                    ));
+                }
                 continue; // completion tombstone
-            };
+            }
             if !seen.insert(id) {
                 return Err(format!("flow {id} appears twice in the selection"));
             }
-            if entry.voq != voq {
-                return Err(format!(
-                    "flow {id} selected on {voq:?}, bound to a different VOQ"
-                ));
-            }
-            if self.by_voq.get(&voq) != Some(&id) {
-                return Err(format!("VOQ index does not map {voq:?} to flow {id}"));
-            }
+            let Some(entry) = self.entries.get(&voq).filter(|e| e.flow == id) else {
+                return Err(format!("no account for flow {id} on {voq:?}"));
+            };
             if entry.settled > entry.epoch_remaining {
                 return Err(format!("flow {id} settled beyond its epoch"));
             }
@@ -553,10 +572,10 @@ pub struct LiveViews<'a> {
 
 impl ViewAdjust for LiveViews<'_> {
     fn adjust(&self, view: &mut VoqView) {
-        let Some(&flow) = self.alloc.by_voq.get(&view.voq) else {
+        let Some(entry) = self.alloc.entries.get(&view.voq) else {
             return; // no flow of this VOQ is transmitting
         };
-        let entry = &self.alloc.entries[&flow];
+        let flow = entry.flow;
         let target = entry.target_at(self.now, self.alloc.rate);
         let owed = target - entry.settled;
         if owed == 0 {

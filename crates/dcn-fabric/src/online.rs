@@ -393,12 +393,26 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
         }
 
         let mut seen = HashSet::with_capacity(snapshot.entries.len());
+        let mut seen_voqs = HashSet::with_capacity(snapshot.entries.len());
         for e in &snapshot.entries {
             let flow = table
                 .get(e.flow)
                 .ok_or_else(|| bad(format!("scheduled entry for unknown flow {}", e.flow)))?;
             if !seen.insert(e.flow) {
                 return Err(bad(format!("flow {} scheduled twice", e.flow)));
+            }
+            // The allocator keys its accounts by VOQ: a matching schedules
+            // at most one flow per VOQ, on the VOQ the flow lives in.
+            if e.voq != flow.voq() {
+                return Err(bad(format!(
+                    "flow {} scheduled on {} but lives in {}",
+                    e.flow,
+                    e.voq,
+                    flow.voq()
+                )));
+            }
+            if !seen_voqs.insert(e.voq) {
+                return Err(bad(format!("VOQ {} scheduled twice", e.voq)));
             }
             if e.settled >= e.epoch_remaining {
                 return Err(bad(format!(
@@ -904,6 +918,23 @@ mod tests {
     }
 
     #[test]
+    fn backlog_overflow_surfaces_as_a_bad_arrival() {
+        let topo = small_topo();
+        let mut sched = Srpt::new();
+        let mut online = OnlineFabric::new(&topo, &mut sched, config(0.01));
+        online.offer(arrival(0, 0.0, 0, 1, u64::MAX)).unwrap();
+        online.offer(arrival(1, 0.0, 2, 3, u64::MAX)).unwrap();
+        match online.step_until(SimTime::from_millis(1.0)) {
+            Err(FabricError::BadArrival(msg)) => {
+                assert!(msg.contains("f1 would overflow"), "{msg}");
+            }
+            other => panic!("expected a bad arrival, got {other:?}"),
+        }
+        online.table.check_invariants().unwrap();
+        assert_eq!(online.table.len(), 1);
+    }
+
+    #[test]
     fn offer_step_finish_matches_batch_counters() {
         let topo = small_topo();
         let mut sched = Srpt::new();
@@ -1111,10 +1142,38 @@ mod tests {
         assert!(matches!(err, FabricError::BadConfig(_)), "{err}");
 
         // Corrupting the drain account must be caught.
-        let mut broken = snap;
+        let mut broken = snap.clone();
         broken.entries[0].settled += 1;
         let mut sched3 = Srpt::new();
         let err = OnlineFabric::restore(&topo, &mut sched3, broken).unwrap_err();
         assert!(matches!(err, FabricError::BadConfig(_)), "{err}");
+
+        // So must an entry bound to a VOQ its flow does not live in.
+        let mut broken = snap;
+        broken.entries[0].voq = Voq::new(HostId::new(2), HostId::new(3));
+        let err = OnlineFabric::restore(&topo, &mut Srpt::new(), broken).unwrap_err();
+        assert!(err.to_string().contains("but lives in"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_two_scheduled_flows_on_one_voq() {
+        let topo = small_topo();
+        let mut sched = Srpt::new();
+        let mut online = OnlineFabric::new(&topo, &mut sched, config(0.01));
+        online.offer(arrival(0, 0.0, 0, 1, 1_250_000)).unwrap();
+        online.offer(arrival(1, 0.0, 0, 1, 2_500_000)).unwrap();
+        online.step_until(SimTime::ZERO).unwrap();
+        let mut snap = online.snapshot();
+        drop(online);
+        assert_eq!(snap.entries.len(), 1, "one flow of the VOQ transmits");
+
+        // Schedule the waiting flow of the same VOQ too, with an account
+        // that agrees with the table.
+        let mut second = snap.entries[0];
+        second.flow = FlowId::new(1);
+        second.epoch_remaining = 2_500_000;
+        snap.entries.push(second);
+        let err = OnlineFabric::restore(&topo, &mut Srpt::new(), snap).unwrap_err();
+        assert!(err.to_string().contains("scheduled twice"), "{err}");
     }
 }

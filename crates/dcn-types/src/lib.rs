@@ -27,6 +27,7 @@
 
 mod bytes;
 mod flow;
+mod hash;
 mod ids;
 mod portset;
 mod rate;
@@ -34,7 +35,8 @@ mod time;
 
 pub use bytes::Bytes;
 pub use flow::{FlowClass, FlowId};
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use ids::{HostId, PlaneId, RackId, ReplicaId, Voq};
 pub use portset::PortSet;
 pub use rate::Rate;
-pub use time::{SimTime, Slot};
+pub use time::{InvalidTime, SimTime, Slot};

@@ -3,6 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
+use std::error::Error;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub};
@@ -24,6 +25,19 @@ use std::ops::{Add, AddAssign, Sub};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct SimTime(f64);
 
+/// Error returned by [`SimTime::try_from_secs`] for a NaN or negative
+/// number of seconds; carries the rejected value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct InvalidTime(pub f64);
+
+impl fmt::Display for InvalidTime {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "time must be >= 0, got {}", self.0)
+    }
+}
+
+impl Error for InvalidTime {}
+
 impl SimTime {
     /// Time zero.
     pub const ZERO: SimTime = SimTime(0.0);
@@ -36,13 +50,36 @@ impl SimTime {
     ///
     /// # Panics
     ///
-    /// Panics if `secs` is NaN or negative.
+    /// Panics if `secs` is NaN or negative; see
+    /// [`try_from_secs`](SimTime::try_from_secs) for untrusted input.
     pub fn from_secs(secs: f64) -> Self {
-        assert!(
-            !secs.is_nan() && secs >= 0.0,
-            "time must be >= 0, got {secs}"
-        );
-        SimTime(secs)
+        SimTime::try_from_secs(secs).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a time from seconds, rejecting the values
+    /// [`from_secs`](SimTime::from_secs) panics on — the constructor for
+    /// times read from untrusted input.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InvalidTime`] if `secs` is NaN or negative. Positive
+    /// infinity is accepted: it is [`SimTime::INFINITY`].
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use dcn_types::SimTime;
+    ///
+    /// assert_eq!(SimTime::try_from_secs(0.5), Ok(SimTime::from_millis(500.0)));
+    /// assert!(SimTime::try_from_secs(f64::NAN).is_err());
+    /// let err = SimTime::try_from_secs(-1.0).unwrap_err();
+    /// assert_eq!(err.to_string(), "time must be >= 0, got -1");
+    /// ```
+    pub fn try_from_secs(secs: f64) -> Result<Self, InvalidTime> {
+        if secs.is_nan() || secs < 0.0 {
+            return Err(InvalidTime(secs));
+        }
+        Ok(SimTime(secs))
     }
 
     /// Creates a time from milliseconds.
@@ -211,6 +248,15 @@ mod tests {
     fn constructors_agree() {
         assert_eq!(SimTime::from_millis(1500.0), SimTime::from_secs(1.5));
         assert_eq!(SimTime::from_micros(2000.0), SimTime::from_millis(2.0));
+    }
+
+    #[test]
+    fn try_from_secs_rejects_what_from_secs_panics_on() {
+        assert_eq!(SimTime::try_from_secs(1.5), Ok(SimTime::from_secs(1.5)));
+        assert_eq!(SimTime::try_from_secs(f64::INFINITY), Ok(SimTime::INFINITY));
+        assert!(SimTime::try_from_secs(f64::NAN).is_err());
+        assert_eq!(SimTime::try_from_secs(-1.0), Err(InvalidTime(-1.0)));
+        assert_eq!(SimTime::try_from_secs(-0.0), Ok(SimTime::ZERO));
     }
 
     #[test]

@@ -76,6 +76,7 @@ fn parse_arrival(line: &str, id: u64, num: usize) -> Result<Option<FlowArrival>,
     let time: f64 = next("time")?
         .parse()
         .map_err(|e| format!("line {num}: bad time: {e}"))?;
+    let time = SimTime::try_from_secs(time).map_err(|e| format!("line {num}: bad time: {e}"))?;
     let src: u32 = next("src")?
         .parse()
         .map_err(|e| format!("line {num}: bad src: {e}"))?;
@@ -95,7 +96,7 @@ fn parse_arrival(line: &str, id: u64, num: usize) -> Result<Option<FlowArrival>,
     }
     Ok(Some(FlowArrival {
         id: FlowId::new(id),
-        time: SimTime::from_secs(time),
+        time,
         voq: Voq::new(HostId::new(src), HostId::new(dst)),
         size: Bytes::new(size),
         class,
@@ -236,4 +237,26 @@ fn main() -> Result<(), Box<dyn Error>> {
         .into());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bad_arrival_times_are_errors_not_panics() {
+        for time in ["nan", "-1"] {
+            let err = parse_arrival(&format!("{time} 0 1 1000"), 0, 7).unwrap_err();
+            assert!(
+                err.starts_with("line 7: bad time: time must be >= 0"),
+                "{err}"
+            );
+        }
+        let ok = parse_arrival("0.5 0 1 1000 query", 3, 1).unwrap().unwrap();
+        assert_eq!(
+            (ok.id, ok.time),
+            (FlowId::new(3), SimTime::from_millis(500.0))
+        );
+        assert_eq!(parse_arrival("  # comment", 0, 1), Ok(None));
+    }
 }
