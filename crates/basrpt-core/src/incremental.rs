@@ -1,10 +1,11 @@
 //! Incremental scheduling: keep per-VOQ ranking keys hot across events.
 //!
 //! The one-pass schedulers ([`Srpt`](crate::Srpt), [`FastBasrpt`],
-//! [`MaxWeight`](crate::MaxWeight), …) rebuild and sort the full candidate
-//! list on every decision — `O(Q log Q)` in the number of non-empty VOQs,
-//! even though a single flow arrival or completion perturbs exactly one
-//! VOQ's key. [`IncrementalScheduler`] removes that redundancy:
+//! [`MaxWeight`](crate::MaxWeight), …) rebuild the full candidate list on
+//! every decision — `O(Q)` in the number of non-empty VOQs, plus a sort
+//! warm-started from the previous decision's order (`O(Q log Q)` at
+//! worst) — even though a single flow arrival or completion perturbs
+//! exactly one VOQ's key. [`IncrementalScheduler`] removes that redundancy:
 //!
 //! * [`FlowTable`] records every mutated VOQ in a change log
 //!   ([`FlowTable::changes_since`]);

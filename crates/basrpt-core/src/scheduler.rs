@@ -2,7 +2,7 @@
 
 use crate::table::VoqView;
 use crate::{FlowTable, Schedule};
-use dcn_types::{FlowId, Voq};
+use dcn_types::{FlowId, HostId, Voq};
 
 /// A read-time correction applied to [`VoqView`]s before a discipline
 /// ranks them.
@@ -285,7 +285,7 @@ pub fn greedy_by_key(candidates: &mut [Candidate]) -> Schedule {
         candidates.iter().all(|c| c.key.is_finite()),
         "candidate keys must be finite"
     );
-    candidates.sort_unstable_by(|a, b| a.key.total_cmp(&b.key).then(a.flow.cmp(&b.flow)));
+    candidates.sort_unstable_by(rank_cmp);
     let mut schedule = Schedule::new();
     for cand in candidates.iter() {
         if schedule.admits(cand.voq) {
@@ -297,44 +297,183 @@ pub fn greedy_by_key(candidates: &mut [Candidate]) -> Schedule {
     schedule
 }
 
+/// The ranking order of [`greedy_by_key`]'s contract: key by
+/// [`f64::total_cmp`], then flow id.
+fn rank_cmp(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
+    a.key.total_cmp(&b.key).then(a.flow.cmp(&b.flow))
+}
+
 /// Ranks one candidate per non-empty VOQ — read in `O(1)` apiece off the
-/// table's champion index — and runs [`greedy_by_key`]: the shared skeleton
-/// of the key-driven one-pass disciplines (SRPT, fast BASRPT, MaxWeight,
-/// FIFO). The whole decision costs `O(Q log Q)` in the number of non-empty
-/// VOQs (≤ P² for P ports), independent of the flow count; the `O(F log F)`
-/// all-flows formulation survives as
+/// table's champion index — and admits them greedily in
+/// [`greedy_by_key`]'s order: the shared skeleton of the key-driven
+/// one-pass disciplines (SRPT, fast BASRPT, MaxWeight, FIFO, RepFlow).
+/// It is [`schedule_champions_adjusted`] with [`NoAdjust`]; see there for
+/// the cost. The `O(F log F)` all-flows formulation survives as
 /// [`reference::schedule_scan`](crate::reference::schedule_scan) for
 /// differential testing.
 pub fn schedule_champions<F>(table: &FlowTable, to_candidate: F) -> Schedule
 where
     F: FnMut(&VoqView) -> Candidate,
 {
-    let mut to_candidate = to_candidate;
-    let mut candidates: Vec<Candidate> = table.voqs().map(|v| to_candidate(&v)).collect();
-    greedy_by_key(&mut candidates)
+    schedule_champions_adjusted(table, &NoAdjust, to_candidate)
 }
 
 /// [`schedule_champions`] with a [`ViewAdjust`] correction applied to
-/// every view before ranking — the skeleton behind the view-based
-/// disciplines' [`Scheduler::schedule_adjusted`] overrides. With
-/// [`NoAdjust`] this is exactly `schedule_champions`.
-pub fn schedule_champions_adjusted<F>(
-    table: &FlowTable,
-    adjust: &dyn ViewAdjust,
-    to_candidate: F,
-) -> Schedule
+/// every view before ranking — the one-pass skeleton behind the
+/// view-based disciplines' [`Scheduler::schedule`] and
+/// [`Scheduler::schedule_adjusted`].
+///
+/// # Warm-started ranking
+///
+/// The decision does not sort from scratch. The table remembers each
+/// VOQ's rank in the previous decision, and the candidates start out in
+/// that order: each is placed at its previous rank, with new VOQs (and
+/// any whose remembered rank is taken) appended. Between two decisions
+/// that order barely moves — untransmitted VOQs keep their keys and
+/// transmitting ones drain together at the edge rate — so one insertion
+/// pass finishes the sort in near-linear time. The pass stops after a
+/// fixed budget of `8·Q + 64` element moves and finishes with an
+/// unstable sort, so an adversarial hint (a different discipline on the
+/// same table, a fresh clone) costs `O(Q log Q)` at worst.
+///
+/// The hint cannot change the result: the ranking order is total (flow
+/// ids are unique per table) and the initial order is irrelevant to
+/// [`greedy_by_key`]'s ordering contract, which this skeleton follows
+/// exactly. One decision thus costs `O(Q)` for collection, lens and
+/// admission plus the moves of the insertion pass, in the number `Q` of
+/// non-empty VOQs (≤ P² for P ports), independent of the flow count.
+pub fn schedule_champions_adjusted<A, F>(table: &FlowTable, adjust: &A, to_candidate: F) -> Schedule
 where
+    A: ViewAdjust + ?Sized,
     F: FnMut(&VoqView) -> Candidate,
 {
-    let mut to_candidate = to_candidate;
-    let mut candidates: Vec<Candidate> = table
-        .voqs()
-        .map(|mut v| {
-            adjust.adjust(&mut v);
-            to_candidate(&v)
-        })
-        .collect();
-    greedy_by_key(&mut candidates)
+    // A decision nested inside another on the same table (a key closure
+    // that itself schedules this table) finds the hint in use and ranks
+    // from a cold one instead.
+    match table.rank_hint().try_borrow_mut() {
+        Ok(mut hint) => hint.decide(table, adjust, to_candidate),
+        Err(_) => RankHint::default().decide(table, adjust, to_candidate),
+    }
+}
+
+/// Marks a VOQ slot that no decision has ranked yet, and a vacant
+/// entry of [`RankHint`]'s scatter buffer.
+const NO_RANK: u32 = u32::MAX;
+
+/// One candidate with the dense table slot of its VOQ, so the decision
+/// can write the candidate's rank back for the next one.
+#[derive(Debug, Clone, Copy)]
+struct Ranked {
+    cand: Candidate,
+    slot: u32,
+}
+
+impl Ranked {
+    const VACANT: Ranked = Ranked {
+        cand: Candidate {
+            key: 0.0,
+            flow: FlowId::new(0),
+            voq: Voq::new(HostId::new(0), HostId::new(0)),
+        },
+        slot: NO_RANK,
+    };
+}
+
+/// A table's memory of the previous decision's order, kept only to
+/// warm-start the next decision's sort (see
+/// [`schedule_champions_adjusted`]), plus the reused buffers of the
+/// ranking. Slot ids are table-local, hence it lives in the table; a
+/// clone or a rebuilt table starts with an empty hint.
+#[derive(Debug, Default)]
+pub(crate) struct RankHint {
+    /// Rank of each dense VOQ slot in the last decision that ranked it,
+    /// [`NO_RANK`] if none did.
+    rank: Vec<u32>,
+    /// Number of candidates the last decision ranked.
+    ranked: usize,
+    /// This decision's candidates: a scatter buffer indexed by previous
+    /// rank, followed by the candidates with no free previous rank (new
+    /// VOQs and collisions); then compacted and ranked in place.
+    order: Vec<Ranked>,
+    /// Decisions whose insertion pass overran its budget.
+    #[cfg(test)]
+    fallback_sorts: u64,
+}
+
+impl RankHint {
+    /// Number of decisions that fell back to the full sort.
+    #[cfg(test)]
+    pub(crate) fn fallback_sorts(&self) -> u64 {
+        self.fallback_sorts
+    }
+
+    fn decide<A, F>(&mut self, table: &FlowTable, adjust: &A, mut to_candidate: F) -> Schedule
+    where
+        A: ViewAdjust + ?Sized,
+        F: FnMut(&VoqView) -> Candidate,
+    {
+        // Slots are never freed, so the rank map only grows.
+        self.rank.resize(table.voq_slot_count(), NO_RANK);
+        self.order.clear();
+        self.order.resize(self.ranked, Ranked::VACANT);
+        for (slot, mut view) in table.voqs_with_slots() {
+            adjust.adjust(&mut view);
+            let cand = to_candidate(&view);
+            debug_assert!(cand.key.is_finite(), "candidate keys must be finite");
+            let item = Ranked { cand, slot };
+            match self.order[..self.ranked].get_mut(self.rank[slot as usize] as usize) {
+                Some(free) if free.slot == NO_RANK => *free = item,
+                _ => self.order.push(item),
+            }
+        }
+        self.order.retain(|r| r.slot != NO_RANK);
+        self.ranked = self.order.len();
+
+        if sort_warm(&mut self.order) {
+            #[cfg(test)]
+            {
+                self.fallback_sorts += 1;
+            }
+        }
+
+        let mut schedule = Schedule::new();
+        for (rank, item) in self.order.iter().enumerate() {
+            self.rank[item.slot as usize] = rank as u32;
+            if schedule.admits(item.cand.voq) {
+                schedule
+                    .add(item.cand.flow, item.cand.voq)
+                    .expect("admits() checked both ports");
+            }
+        }
+        schedule
+    }
+}
+
+/// Sorts a nearly sorted `order` into [`rank_cmp`] order with one
+/// insertion pass. Past `8·len + 64` element moves the pass gives up and
+/// an unstable sort finishes the job, so the worst case stays
+/// `O(len log len)`. Returns whether it fell back.
+fn sort_warm(order: &mut [Ranked]) -> bool {
+    let budget = 8 * order.len() + 64;
+    let mut moves = 0;
+    for i in 1..order.len() {
+        let item = order[i];
+        let mut j = i;
+        while j > 0 && rank_cmp(&item.cand, &order[j - 1].cand).is_lt() {
+            order[j] = order[j - 1];
+            j -= 1;
+        }
+        if j == i {
+            continue;
+        }
+        order[j] = item;
+        moves += i - j;
+        if moves > budget {
+            order.sort_unstable_by(|a, b| rank_cmp(&a.cand, &b.cand));
+            return true;
+        }
+    }
+    false
 }
 
 /// Asserts that `schedule` is a valid *maximal* matching over the non-empty
@@ -454,6 +593,97 @@ mod tests {
         let s = schedule_champions_adjusted(&t, &Shrink, key);
         assert!(s.contains(FlowId::new(1)));
         assert!(!s.contains(FlowId::new(2)));
+    }
+
+    fn ranked(key: f64, id: u64) -> Ranked {
+        Ranked {
+            cand: cand(key, id, 0, 1),
+            slot: 0,
+        }
+    }
+
+    fn is_ranked(order: &[Ranked]) -> bool {
+        order
+            .windows(2)
+            .all(|w| rank_cmp(&w[0].cand, &w[1].cand).is_lt())
+    }
+
+    #[test]
+    fn a_nearly_sorted_order_is_fixed_up_without_the_fallback() {
+        // One late arrival that belongs at the front, plus a swapped pair.
+        let mut order: Vec<Ranked> = (1..=200).map(|i| ranked(i as f64, i)).collect();
+        order.swap(10, 11);
+        order.push(ranked(0.5, 999));
+        assert!(!sort_warm(&mut order));
+        assert!(is_ranked(&order));
+    }
+
+    #[test]
+    fn a_reversed_order_overruns_the_budget_and_falls_back() {
+        let mut order: Vec<Ranked> = (1..=200).rev().map(|i| ranked(i as f64, i)).collect();
+        assert!(sort_warm(&mut order));
+        assert!(is_ranked(&order));
+        // Equal keys still rank by flow id.
+        let mut ties: Vec<Ranked> = (1..=200).rev().map(|i| ranked(1.0, i)).collect();
+        assert!(sort_warm(&mut ties));
+        assert!(is_ranked(&ties));
+    }
+
+    #[test]
+    fn alternating_opposite_keys_on_one_table_hit_the_fallback_sort() {
+        use crate::{MaxWeight, Srpt};
+        // One flow per VOQ, so SRPT's key (size) and MaxWeight's
+        // (−backlog) rank the 120 VOQs in nearly opposite orders (only
+        // equal sizes keep their flow-id order in both).
+        let mut t = FlowTable::new();
+        for i in 0..120u32 {
+            t.insert(FlowState::new(
+                FlowId::new(u64::from(i)),
+                Voq::new(HostId::new(i / 11), HostId::new(i % 11 + 20)),
+                u64::from(7 * i % 113 + 1),
+            ))
+            .unwrap();
+        }
+        let fallbacks = |t: &FlowTable| t.rank_hint().borrow().fallback_sorts();
+        let srpt = Srpt::new().schedule(&t);
+        // The first decision starts from an empty hint: every candidate is
+        // late, in VOQ order.
+        let first = fallbacks(&t);
+        assert_eq!(Srpt::new().schedule(&t), srpt);
+        assert_eq!(fallbacks(&t), first, "an unchanged table needs no moves");
+        for round in 0..4 {
+            let mw = MaxWeight::new().schedule(&t);
+            assert_eq!(mw, MaxWeight::new().schedule(&t.clone()));
+            assert_eq!(fallbacks(&t), first + 2 * round + 1);
+            assert_eq!(Srpt::new().schedule(&t), srpt);
+            assert_eq!(fallbacks(&t), first + 2 * round + 2);
+        }
+    }
+
+    #[test]
+    fn a_nested_decision_on_the_same_table_ranks_from_a_cold_hint() {
+        let mut t = FlowTable::new();
+        for (id, src, dst, size) in [(1u64, 0, 1, 5u64), (2, 0, 2, 1), (3, 3, 1, 7)] {
+            t.insert(FlowState::new(
+                FlowId::new(id),
+                Voq::new(HostId::new(src), HostId::new(dst)),
+                size,
+            ))
+            .unwrap();
+        }
+        let key = |v: &VoqView| Candidate {
+            key: v.shortest_remaining as f64,
+            flow: v.shortest_flow,
+            voq: v.voq,
+        };
+        let plain = schedule_champions(&t, key);
+        let mut inner = None;
+        let outer = schedule_champions(&t, |v| {
+            inner.get_or_insert_with(|| schedule_champions(&t, key));
+            key(v)
+        });
+        assert_eq!(outer, plain);
+        assert_eq!(inner, Some(plain));
     }
 
     #[test]

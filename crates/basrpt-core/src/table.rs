@@ -12,6 +12,7 @@
 //!   each VOQ's winning candidate in `O(1)` and the table restores it in
 //!   amortized `O(log n)` when a champion leaves.
 
+use crate::scheduler::RankHint;
 use crate::FlowState;
 use dcn_types::{FlowId, HostId, Voq};
 use std::cell::RefCell;
@@ -329,10 +330,10 @@ impl VoqSlot {
 ///
 /// Reading the per-VOQ champions ([`FlowTable::voqs`],
 /// [`FlowTable::voq_view`]) is `O(1)` per VOQ off the cached fields, so a
-/// full scheduling pass costs `O(Q log Q)` in the number of non-empty VOQs
-/// rather than `O(F log F)` in the number of flows, and champion-preserving
-/// drains (the SRPT/BASRPT steady state: the shortest flow only gets
-/// shorter) cost `O(1)` with no heap traffic at all.
+/// full scheduling pass costs at most `O(Q log Q)` in the number of
+/// non-empty VOQs rather than `O(F log F)` in the number of flows, and
+/// champion-preserving drains (the SRPT/BASRPT steady state: the shortest
+/// flow only gets shorter) cost `O(1)` with no heap traffic at all.
 ///
 /// # Example
 ///
@@ -381,6 +382,12 @@ pub struct FlowTable {
     /// Interior mutability: registration and acknowledgement are consumer
     /// bookkeeping, reachable from the `&FlowTable` that schedulers hold.
     cursors: RefCell<CursorRegistry>,
+    /// The previous decision's candidate order, which warm-starts the
+    /// next decision's sort (see
+    /// [`schedule_champions_adjusted`](crate::schedule_champions_adjusted)).
+    /// Scratch like `cursors`: a decision holds only `&FlowTable`. It
+    /// never affects a result, so clones start without it.
+    rank_hint: RefCell<RankHint>,
 }
 
 /// A registered cursor that stops acknowledging pins log history; past this
@@ -403,6 +410,7 @@ impl Default for FlowTable {
             change_log: Vec::new(),
             log_base: 0,
             cursors: RefCell::new(CursorRegistry::default()),
+            rank_hint: RefCell::new(RankHint::default()),
         }
     }
 }
@@ -412,6 +420,7 @@ impl Clone for FlowTable {
     /// empty change log and no registered cursors: incremental consumers
     /// synced to the original will fully rebuild against the clone instead
     /// of mis-applying its log, and their [`CursorId`]s do not transfer.
+    /// Its first decision ranks without a warm-start hint.
     fn clone(&self) -> Self {
         FlowTable {
             flows: self.flows.clone(),
@@ -426,6 +435,7 @@ impl Clone for FlowTable {
             change_log: Vec::new(),
             log_base: 0,
             cursors: RefCell::new(CursorRegistry::default()),
+            rank_hint: RefCell::new(RankHint::default()),
         }
     }
 }
@@ -519,6 +529,24 @@ impl FlowTable {
             return None;
         }
         Some(self.view_of(voq, vs))
+    }
+
+    /// [`FlowTable::voqs`] with each VOQ's dense slot id, the key of the
+    /// decision's rank hint.
+    pub(crate) fn voqs_with_slots(&self) -> impl Iterator<Item = (u32, VoqView)> + '_ {
+        self.nonempty
+            .iter()
+            .map(move |(&voq, &vs)| (vs, self.view_of(voq, vs)))
+    }
+
+    /// Number of dense VOQ slots ever allocated (slots are never freed).
+    pub(crate) fn voq_slot_count(&self) -> usize {
+        self.voq_slots.len()
+    }
+
+    /// The decision scratch that remembers the previous candidate order.
+    pub(crate) fn rank_hint(&self) -> &RefCell<RankHint> {
+        &self.rank_hint
     }
 
     fn view_of(&self, voq: Voq, vs: u32) -> VoqView {

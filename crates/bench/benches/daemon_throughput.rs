@@ -146,18 +146,18 @@ fn main() {
                 per_decision,
                 1e9 / per_decision,
             );
-            results.push(BenchResult {
-                id: format!("daemon_throughput/decision_ns/{hosts}"),
-                median_ns: per_decision,
-                n: stats.decisions as usize,
-            });
+            results.push(BenchResult::single(
+                format!("daemon_throughput/decision_ns/{hosts}"),
+                per_decision,
+                stats.decisions as usize,
+            ));
         }
         if stats.completions > 0 {
-            results.push(BenchResult {
-                id: format!("daemon_throughput/offer_to_completion_ns/{hosts}"),
-                median_ns: stats.latency_sum.as_nanos() as f64 / stats.completions as f64,
-                n: stats.completions,
-            });
+            results.push(BenchResult::single(
+                format!("daemon_throughput/offer_to_completion_ns/{hosts}"),
+                stats.latency_sum.as_nanos() as f64 / stats.completions as f64,
+                stats.completions,
+            ));
         }
     }
 

@@ -10,10 +10,11 @@
 //! loop — one table event (a one-unit drain, cycling over the flows)
 //! followed by one scheduling decision — comparing each one-pass
 //! discipline against its `IncrementalScheduler` wrapping across fabric
-//! sizes `N ∈ {16, 48, 144, 288}` with 40 flows per server. The
-//! incremental path re-keys only the event's VOQ instead of re-sorting
-//! all of them, turning the `O(Q log Q)` sort into an `O(log Q)` patch
-//! plus an `O(Q)` pre-sorted walk.
+//! sizes `N ∈ {16, 48, 144, 288}` with 40 flows per server. Both paths
+//! keep the table across iterations, so the one-pass path's sort starts
+//! from the previous decision's order, as it does inside a run. The
+//! incremental path re-keys only the event's VOQ instead of re-collecting
+//! all of them: an `O(log Q)` patch plus an `O(Q)` pre-sorted walk.
 //!
 //! The `fastforward_switch` group measures the orthogonal lever: instead
 //! of making each decision cheaper, the macro-slot fast-forward engine

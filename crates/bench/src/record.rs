@@ -9,9 +9,12 @@
 //! by recording order within sorted groups).
 //!
 //! The file format is the hand-rolled JSON this module itself emits —
-//! `{ group: { "function/parameter": { "median_ns": …, "n": … } } }` —
-//! so the reader only has to understand its own writer (the workspace
-//! deliberately vendors no JSON parser).
+//! `{ group: { "function/parameter": { "median_ns": …, "min_ns": …,
+//! "mad_ns": …, "n": … } } }`, where `min_ns` is the fastest sample and
+//! `mad_ns` the median absolute deviation — so the reader only has to
+//! understand its own writer (the workspace deliberately vendors no JSON
+//! parser). Rows recorded before the spread fields existed carry only
+//! `median_ns` and `n`; the reader accepts both.
 
 use criterion::BenchResult;
 use std::collections::BTreeMap;
@@ -107,7 +110,10 @@ fn group_results(results: &[BenchResult]) -> Groups {
                 .and_then(|s| s.strip_prefix('/'))
                 .unwrap_or(&r.id)
                 .to_string();
-        let row = format!("{{ \"median_ns\": {:.1}, \"n\": {} }}", r.median_ns, r.n);
+        let row = format!(
+            "{{ \"median_ns\": {:.1}, \"min_ns\": {:.1}, \"mad_ns\": {:.1}, \"n\": {} }}",
+            r.median_ns, r.min_ns, r.mad_ns, r.n
+        );
         fresh.entry(group).or_default().push((key, row));
     }
     fresh
@@ -140,8 +146,17 @@ mod tests {
         BenchResult {
             id: id.to_string(),
             median_ns,
+            min_ns: median_ns - 1.0,
+            mad_ns: 0.5,
             n,
         }
+    }
+
+    fn row(median_ns: f64, n: usize) -> String {
+        format!(
+            "{{ \"median_ns\": {median_ns:.1}, \"min_ns\": {:.1}, \"mad_ns\": 0.5, \"n\": {n} }}",
+            median_ns - 1.0
+        )
     }
 
     #[test]
@@ -155,7 +170,8 @@ mod tests {
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed["alpha"].len(), 2);
         assert_eq!(parsed["alpha"][0].0, "one_pass/100");
-        assert_eq!(parsed["beta"][0].1, "{ \"median_ns\": 7.0, \"n\": 20 }");
+        assert_eq!(parsed["beta"][0].1, row(7.0, 20));
+        assert_eq!(median_ns(&parsed["beta"][0].1), Some(7.0));
         assert_eq!(render(&parsed), rendered);
     }
 
@@ -169,8 +185,8 @@ mod tests {
         for (group, rows) in fresh {
             on_disk.insert(group, rows);
         }
-        assert_eq!(on_disk["alpha"][0].1, "{ \"median_ns\": 12.5, \"n\": 15 }");
-        assert_eq!(on_disk["beta"][0].1, "{ \"median_ns\": 9.0, \"n\": 25 }");
+        assert_eq!(on_disk["alpha"][0].1, row(12.5, 15));
+        assert_eq!(on_disk["beta"][0].1, row(9.0, 25));
     }
 
     #[test]

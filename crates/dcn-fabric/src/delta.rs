@@ -54,8 +54,12 @@
 //! with `BASRPT_SETTLE=eager`) takes the eager path, which settles every
 //! account on every event exactly like the reference engines.
 //!
-//! The decision itself is not incremental: every reschedule re-collects,
-//! adjusts and ranks every non-empty VOQ (`O(Q log Q)` for `Q` VOQs).
+//! The decision re-collects and adjusts every non-empty VOQ on every
+//! reschedule (`O(Q)` for `Q` VOQs), but it does not sort from scratch:
+//! it starts from the previous decision's order, which the flow table
+//! remembers, and one bounded insertion pass fixes it up (see
+//! [`schedule_champions_adjusted`](basrpt_core::schedule_champions_adjusted);
+//! `O(Q log Q)` at worst).
 //! [`IncrementalScheduler`](basrpt_core::IncrementalScheduler) reports
 //! `supports_lazy_views() == false`, so running it inside this engine does
 //! **not** compose into an all-`O(affected)` path: the engine falls back

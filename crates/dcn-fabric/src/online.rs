@@ -71,7 +71,7 @@ use crate::delta::{CoreBudgets, DeltaAllocator, DeltaStats, SettledDrain};
 use crate::engine::{
     validate_arrival, FabricError, FabricRun, FlowMeta, ScheduledEntry, SimConfig,
 };
-use crate::settle::SettleMode;
+use crate::settle::{EagerReason, SettleMode};
 use crate::shard::CompletionRecord;
 use crate::topology::Topology;
 use basrpt_core::{FlowState, FlowTable, Scheduler};
@@ -234,12 +234,13 @@ pub struct OnlineFabric<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: 
     probe: P,
     config: SimConfig,
     enforce_core: bool,
-    /// When scheduled accounts convert into table drains. Chosen once at
-    /// construction ([`SettleMode::choose`]) and not serialized — restore
-    /// re-derives it from the restored probe and scheduler, which is
-    /// unobservable because the flow table always mirrors the settled
-    /// accounts exactly, in either mode.
-    mode: SettleMode,
+    /// Why scheduled accounts settle eagerly, `None` when they settle
+    /// lazily (the [`SettleMode`]). Chosen once at construction
+    /// ([`EagerReason::of`]) and not serialized — restore re-derives it
+    /// from the restored probe and scheduler, which is unobservable
+    /// because the flow table always mirrors the settled accounts
+    /// exactly, in either mode.
+    eager_reason: Option<EagerReason>,
     table: FlowTable,
     meta: HashMap<dcn_types::FlowId, FlowMeta>,
     alloc: DeltaAllocator,
@@ -297,14 +298,15 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
     pub fn with_probe(topo: &'t T, scheduler: &'s mut S, config: SimConfig, probe: P) -> Self {
         let edge_rate = topo.edge_rate();
         let enforce_core = config.enforce_core_capacity || !topo.is_full_bisection();
-        let mode = SettleMode::choose(probe.wants_flow_fidelity(), scheduler.supports_lazy_views());
+        let eager_reason =
+            EagerReason::of(probe.wants_flow_fidelity(), scheduler.supports_lazy_views());
         OnlineFabric {
             topo,
             scheduler,
             probe,
             config,
             enforce_core,
-            mode,
+            eager_reason,
             table: FlowTable::new(),
             meta: HashMap::new(),
             alloc: DeltaAllocator::new(edge_rate),
@@ -431,7 +433,8 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
             }
         }
         let alloc = DeltaAllocator::restore(edge_rate, snapshot.entries, snapshot.alloc_stats);
-        let mode = SettleMode::choose(probe.wants_flow_fidelity(), scheduler.supports_lazy_views());
+        let eager_reason =
+            EagerReason::of(probe.wants_flow_fidelity(), scheduler.supports_lazy_views());
 
         Ok(OnlineFabric {
             topo,
@@ -439,7 +442,7 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
             probe,
             config: snapshot.config,
             enforce_core,
-            mode,
+            eager_reason,
             table,
             meta,
             alloc,
@@ -490,13 +493,18 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
     /// eager direction can be forced; laziness is never forced onto a
     /// scheduler or probe that needs ground-truth tables.
     pub fn force_eager_settle(mut self) -> Self {
-        self.mode = SettleMode::Eager;
+        self.eager_reason = self.eager_reason.or(Some(EagerReason::ForcedByCaller));
         self
     }
 
     /// The settlement mode this engine runs under.
     pub fn settle_mode(&self) -> SettleMode {
-        self.mode
+        SettleMode::from_reason(self.eager_reason)
+    }
+
+    /// Why this engine settles eagerly, or `None` when it settles lazily.
+    pub fn settle_reason(&self) -> Option<EagerReason> {
+        self.eager_reason
     }
 
     /// Offers one arrival to the engine.
@@ -659,7 +667,7 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
             // reached and the final table state is about to be read), where
             // every account must be exact at once.
             let observe_all =
-                !self.mode.is_lazy() || self.next_sample <= t || t >= self.config.horizon;
+                !self.settle_mode().is_lazy() || self.next_sample <= t || t >= self.config.horizon;
             let mut drains = std::mem::take(&mut self.drain_buf);
             drains.clear();
             completed_any = if observe_all {
@@ -735,7 +743,7 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
             // Lazy mode decides from settlement-adjusted VOQ views — the
             // exact views an eagerly settled table would serve — so the
             // stale table never leaks into a decision.
-            let schedule = if self.mode.is_lazy() {
+            let schedule = if self.settle_mode().is_lazy() {
                 self.scheduler
                     .schedule_adjusted(&self.table, &self.alloc.live_views(self.clock))
             } else {

@@ -47,7 +47,8 @@ impl SettleMode {
     /// observes per-flow progress between samples — the attached probe
     /// does not request flow fidelity, the scheduler can decide from
     /// settlement-adjusted VOQ views, and the `BASRPT_SETTLE=eager`
-    /// escape hatch is unset.
+    /// escape hatch is unset. `OnlineFabric::settle_reason` reports
+    /// which of these forced eager settlement.
     ///
     /// ```
     /// use dcn_fabric::SettleMode;
@@ -61,7 +62,13 @@ impl SettleMode {
     /// assert!(m == SettleMode::Lazy || dcn_fabric::settle_forced_eager());
     /// ```
     pub fn choose(wants_flow_fidelity: bool, supports_lazy_views: bool) -> SettleMode {
-        if wants_flow_fidelity || !supports_lazy_views || forced_eager() {
+        SettleMode::from_reason(EagerReason::of(wants_flow_fidelity, supports_lazy_views))
+    }
+
+    /// The mode an optional eager reason implies: eager exactly when
+    /// there is a reason.
+    pub(crate) fn from_reason(reason: Option<EagerReason>) -> SettleMode {
+        if reason.is_some() {
             SettleMode::Eager
         } else {
             SettleMode::Lazy
@@ -71,6 +78,51 @@ impl SettleMode {
     /// Whether this is [`SettleMode::Lazy`].
     pub fn is_lazy(self) -> bool {
         matches!(self, SettleMode::Lazy)
+    }
+}
+
+/// Why an engine settles eagerly instead of lazily (see
+/// [`SettleMode::choose`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum EagerReason {
+    /// The attached probe wants per-flow drain fidelity
+    /// (`Probe::wants_flow_fidelity`), so every byte must be written back
+    /// as it moves.
+    FlowFidelityProbe,
+    /// The scheduler reads the flow table itself rather than only the
+    /// per-VOQ views the engine can correct
+    /// (`Scheduler::supports_lazy_views` is `false`).
+    SchedulerReadsTable,
+    /// `BASRPT_SETTLE=eager` is set in the environment.
+    ForcedByEnv,
+    /// The caller pinned the engine to eager settlement
+    /// (`OnlineFabric::force_eager_settle`).
+    ForcedByCaller,
+}
+
+impl EagerReason {
+    /// The reason a run with this probe and scheduler must settle
+    /// eagerly, or `None` when it runs lazy. When several apply, the
+    /// first in declaration order is reported.
+    pub(crate) fn of(wants_flow_fidelity: bool, supports_lazy_views: bool) -> Option<EagerReason> {
+        Self::given(wants_flow_fidelity, supports_lazy_views, forced_eager())
+    }
+
+    fn given(
+        wants_flow_fidelity: bool,
+        supports_lazy_views: bool,
+        forced_by_env: bool,
+    ) -> Option<EagerReason> {
+        if wants_flow_fidelity {
+            Some(EagerReason::FlowFidelityProbe)
+        } else if !supports_lazy_views {
+            Some(EagerReason::SchedulerReadsTable)
+        } else if forced_by_env {
+            Some(EagerReason::ForcedByEnv)
+        } else {
+            None
+        }
     }
 }
 
@@ -147,6 +199,30 @@ mod tests {
             assert!(SettleMode::choose(false, true).is_lazy());
         }
         assert!(!SettleMode::Eager.is_lazy());
+    }
+
+    #[test]
+    fn the_first_applicable_eager_reason_is_reported() {
+        use EagerReason::*;
+        assert_eq!(
+            EagerReason::given(true, true, true),
+            Some(FlowFidelityProbe)
+        );
+        assert_eq!(
+            EagerReason::given(true, false, false),
+            Some(FlowFidelityProbe)
+        );
+        assert_eq!(
+            EagerReason::given(false, false, true),
+            Some(SchedulerReadsTable)
+        );
+        assert_eq!(EagerReason::given(false, true, true), Some(ForcedByEnv));
+        assert_eq!(EagerReason::given(false, true, false), None);
+        assert_eq!(SettleMode::from_reason(None), SettleMode::Lazy);
+        assert_eq!(
+            SettleMode::from_reason(Some(ForcedByCaller)),
+            SettleMode::Eager
+        );
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! ```
 //!
 //! Input format (one arrival per line, `#` comments and blank lines
-//! ignored; times in seconds, strictly non-decreasing; class optional):
+//! ignored; times in seconds, finite and non-decreasing; class optional).
+//! An arrival at or past the horizon is counted as ignored; reading goes
+//! on, so every parsed line is counted as offered or ignored:
 //!
 //! ```text
 //! # time  src  dst  size_bytes  [query|background]
@@ -76,6 +78,11 @@ fn parse_arrival(line: &str, id: u64, num: usize) -> Result<Option<FlowArrival>,
     let time: f64 = next("time")?
         .parse()
         .map_err(|e| format!("line {num}: bad time: {e}"))?;
+    if time.is_infinite() {
+        return Err(format!(
+            "line {num}: bad time: time must be finite, got {time}"
+        ));
+    }
     let time = SimTime::try_from_secs(time).map_err(|e| format!("line {num}: bad time: {e}"))?;
     let src: u32 = next("src")?
         .parse()
@@ -137,6 +144,71 @@ fn emit_completions(
     Ok(())
 }
 
+/// What [`serve`] did with its input.
+#[derive(Default)]
+struct Tally {
+    /// Arrivals queued into the engine.
+    offered: u64,
+    /// Arrivals at or past the horizon, counted but never simulated.
+    ignored: u64,
+    /// Completion lines written.
+    emitted: u64,
+}
+
+/// Feeds every arrival line of `input` into `online`, streaming
+/// completions to `out`, then runs the clock out to `horizon`. Every
+/// parsed arrival is counted as offered or ignored: one at or past the
+/// horizon is ignored without stepping the engine to the horizon, so the
+/// lines after it are still read and counted.
+fn serve(
+    input: impl BufRead,
+    online: &mut OnlineFabric<'_, '_, FatTree, dyn Scheduler>,
+    horizon: SimTime,
+    out: &mut impl Write,
+    validate: bool,
+) -> Result<Tally, Box<dyn Error>> {
+    let mut buf = String::with_capacity(128);
+    let mut tally = Tally::default();
+    let mut next_id = 0u64;
+
+    for (num, line) in input.lines().enumerate() {
+        let line = line?;
+        let Some(arrival) = parse_arrival(&line, next_id, num + 1)? else {
+            continue;
+        };
+        next_id += 1;
+        loop {
+            // Never step to the horizon here: the engine would finish and
+            // refuse the rest of the input. `offer` itself counts an
+            // arrival at or past the horizon as ignored.
+            online.step_before(arrival.time.min(horizon))?;
+            emit_completions(online, out, &mut buf, validate, &mut tally.emitted)?;
+            match online.offer(arrival) {
+                Ok(basrpt::fabric::Accepted::Queued { .. }) => {
+                    tally.offered += 1;
+                    break;
+                }
+                Ok(basrpt::fabric::Accepted::IgnoredAfterHorizon) => {
+                    tally.ignored += 1;
+                    break;
+                }
+                Err(OfferError::Backpressure { .. }) => {
+                    // The buffer is full of same-instant arrivals; drain
+                    // them through the admission path and retry.
+                    online.step_until(arrival.time)?;
+                    emit_completions(online, out, &mut buf, validate, &mut tally.emitted)?;
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
+    // Input exhausted: run out the clock and flush the completion tail.
+    online.step_until(horizon)?;
+    emit_completions(online, out, &mut buf, validate, &mut tally.emitted)?;
+    Ok(tally)
+}
+
 fn main() -> Result<(), Box<dyn Error>> {
     let mut path = None;
     let mut validate = false;
@@ -171,68 +243,25 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     let stdout = io::stdout();
     let mut out = BufWriter::new(stdout.lock());
-    let mut buf = String::with_capacity(128);
-    let mut emitted = 0u64;
-    let mut offered = 0u64;
-    let mut ignored = 0u64;
-    let mut next_id = 0u64;
-
-    for (num, line) in input.lines().enumerate() {
-        let line = line?;
-        let Some(arrival) = parse_arrival(&line, next_id, num + 1)? else {
-            continue;
-        };
-        next_id += 1;
-        loop {
-            online.step_before(arrival.time)?;
-            emit_completions(&mut online, &mut out, &mut buf, validate, &mut emitted)?;
-            if online.is_finished() {
-                break;
-            }
-            match online.offer(arrival) {
-                Ok(basrpt::fabric::Accepted::Queued { .. }) => {
-                    offered += 1;
-                    break;
-                }
-                Ok(basrpt::fabric::Accepted::IgnoredAfterHorizon) => {
-                    ignored += 1;
-                    break;
-                }
-                Err(OfferError::Backpressure { .. }) => {
-                    // The buffer is full of same-instant arrivals; drain
-                    // them through the admission path and retry.
-                    online.step_until(arrival.time)?;
-                    emit_completions(&mut online, &mut out, &mut buf, validate, &mut emitted)?;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-        if online.is_finished() {
-            break;
-        }
-    }
-
-    // Input exhausted: run out the clock and flush the completion tail.
-    online.step_until(horizon)?;
-    emit_completions(&mut online, &mut out, &mut buf, validate, &mut emitted)?;
+    let tally = serve(input, &mut online, horizon, &mut out, validate)?;
     out.flush()?;
     let run = online.finish()?;
 
     eprintln!(
         "daemon: {} offered, {} ignored (past horizon), {} completions streamed, \
          {} flows left in fabric at t = {} s ({} decisions, scheduler {})",
-        offered,
-        ignored,
-        emitted,
+        tally.offered,
+        tally.ignored,
+        tally.emitted,
         run.leftover_flows,
         run.horizon.as_secs(),
         run.reschedules,
         sched_name,
     );
-    if emitted != run.completions as u64 {
+    if tally.emitted != run.completions as u64 {
         return Err(format!(
             "streamed {} completions but the run recorded {}",
-            emitted, run.completions
+            tally.emitted, run.completions
         )
         .into());
     }
@@ -258,5 +287,38 @@ mod tests {
             (FlowId::new(3), SimTime::from_millis(500.0))
         );
         assert_eq!(parse_arrival("  # comment", 0, 1), Ok(None));
+    }
+
+    #[test]
+    fn non_finite_arrival_times_are_line_numbered_errors() {
+        for time in ["inf", "+inf", "-inf", "infinity"] {
+            let err = parse_arrival(&format!("{time} 0 1 1000"), 0, 4).unwrap_err();
+            assert!(err.starts_with("line 4: bad time: "), "{time}: {err}");
+        }
+    }
+
+    #[test]
+    fn arrivals_past_the_horizon_are_counted_and_later_lines_still_read() {
+        let topo = FatTree::paper_topology();
+        let mut sched: Box<dyn Scheduler> = Box::new(Srpt::new());
+        let horizon = SimTime::from_millis(1.0);
+        let config = SimConfig::builder().horizon(horizon).build();
+        let mut online = OnlineFabric::new(&topo, sched.as_mut(), config);
+        let input = "0 0 1 1000\n\
+                     0.0005 2 3 1000\n\
+                     # the horizon is 1 ms\n\
+                     0.001 0 1 1000\n\
+                     0.5 1 2 1000\n\
+                     1e300 4 5 1000\n";
+        let mut out = Vec::new();
+        let tally = serve(input.as_bytes(), &mut online, horizon, &mut out, true).unwrap();
+        assert_eq!((tally.offered, tally.ignored), (2, 3));
+        let run = online.finish().unwrap();
+        assert_eq!(run.arrivals as u64, tally.offered);
+        assert_eq!(tally.emitted, run.completions as u64);
+        assert_eq!(
+            String::from_utf8(out).unwrap().lines().count(),
+            run.completions
+        );
     }
 }

@@ -433,3 +433,196 @@ mod random_workloads {
         }
     }
 }
+
+mod warm_ranking {
+    //! The one-pass decision ranks from the previous decision's order,
+    //! which the table remembers (see `schedule_champions_adjusted`). That
+    //! order is only a hint: these tests mutate tables at random and, after
+    //! every mutation, require the decision on the warm table to equal the
+    //! decision on a clone (which starts without a hint) and the full-scan
+    //! reference, for every key-driven discipline.
+
+    use super::*;
+    use basrpt::core::reference::schedule_scan;
+    use basrpt::core::{FlowState, FlowTable, RepFlow, Schedule};
+    use basrpt::types::FlowId;
+    use proptest::prelude::*;
+
+    type Reference = fn(&FlowTable) -> Schedule;
+
+    /// `(name, discipline, full-scan reference)`. RepFlow ranks exactly as
+    /// SRPT (replication is the fabric's business), so SRPT's scan is its
+    /// reference.
+    fn disciplines() -> Vec<(&'static str, Box<dyn Scheduler>, Reference)> {
+        vec![
+            ("srpt", Box::new(Srpt::new()), |t| {
+                schedule_scan(&Srpt::new(), t)
+            }),
+            ("fast_basrpt_w2", Box::new(FastBasrpt::new(16.0, 8)), |t| {
+                schedule_scan(&FastBasrpt::new(16.0, 8), t)
+            }),
+            ("fast_basrpt_w05", Box::new(FastBasrpt::new(4.0, 8)), |t| {
+                schedule_scan(&FastBasrpt::new(4.0, 8), t)
+            }),
+            ("maxweight", Box::new(MaxWeight::new()), |t| {
+                schedule_scan(&MaxWeight::new(), t)
+            }),
+            ("fifo", Box::new(Fifo::new()), |t| {
+                schedule_scan(&Fifo::new(), t)
+            }),
+            (
+                "threshold15",
+                Box::new(ThresholdBacklogSrpt::new(15)),
+                |t| schedule_scan(&ThresholdBacklogSrpt::new(15), t),
+            ),
+            ("repflow", Box::new(RepFlow::default()), |t| {
+                schedule_scan(&Srpt::new(), t)
+            }),
+        ]
+    }
+
+    /// One table mutation, drawn as `(kind, a, b, amount)`: insert a flow
+    /// into VOQ `(a, b)` (kind 0–1, so tables grow), drain the `a`-th live
+    /// flow by up to `amount` (kind 2; may complete it), or remove it
+    /// (kind 3; may empty its VOQ, whose slot then keeps a stale rank).
+    fn mutate(table: &mut FlowTable, next_id: &mut u64, ports: u32, op: (u8, u32, u32, u64)) {
+        let (kind, a, b, amount) = op;
+        let live: Vec<FlowState> = table.iter().copied().collect();
+        if kind < 2 || live.is_empty() {
+            let src = a % ports;
+            let dst = (src + 1 + b % (ports - 1)) % ports;
+            *next_id += 1;
+            table
+                .insert(FlowState::new(FlowId::new(*next_id), voq(src, dst), amount))
+                .unwrap();
+            return;
+        }
+        let mut ids: Vec<FlowId> = live.iter().map(FlowState::id).collect();
+        ids.sort_unstable();
+        let id = ids[a as usize % ids.len()];
+        if kind == 2 {
+            table.drain(id, amount).unwrap();
+        } else {
+            table.remove(id).unwrap();
+        }
+    }
+
+    fn decide_all_ways(
+        label: &str,
+        scheduler: &mut dyn Scheduler,
+        reference: Reference,
+        table: &FlowTable,
+    ) -> Result<(), TestCaseError> {
+        let warm = scheduler.schedule(table);
+        let cold = scheduler.schedule(&table.clone());
+        prop_assert_eq!(&warm, &cold, "{}: warm vs cold hint", label);
+        prop_assert_eq!(&warm, &reference(table), "{}: warm vs scan", label);
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn warm_hint_never_changes_a_decision(
+            ops in prop::collection::vec((0u8..4, 0u32..64, 0u32..64, 1u64..200), 1..60),
+        ) {
+            for (name, mut scheduler, reference) in disciplines() {
+                let mut table = FlowTable::new();
+                let mut next_id = 0;
+                for (step, &op) in ops.iter().enumerate() {
+                    mutate(&mut table, &mut next_id, 6, op);
+                    decide_all_ways(&format!("{name}/step{step}"), scheduler.as_mut(), reference, &table)?;
+                }
+            }
+        }
+    }
+
+    /// Tiny deterministic generator for the larger scripted tables below.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    fn random_op(state: &mut u64) -> (u8, u32, u32, u64) {
+        (
+            (xorshift(state) % 4) as u8,
+            xorshift(state) as u32,
+            xorshift(state) as u32,
+            xorshift(state) % 5_000 + 1,
+        )
+    }
+
+    /// Hundreds of VOQs on 16 ports and long mutation runs, so the hint
+    /// sees VOQs empty and refill (stale ranks, collisions) under every
+    /// discipline.
+    #[test]
+    fn warm_hint_survives_long_runs_on_large_tables() {
+        for (name, mut scheduler, reference) in disciplines() {
+            let mut state = 0x9e37_79b9_7f4a_7c15;
+            let mut table = FlowTable::new();
+            let mut next_id = 0;
+            for _ in 0..300 {
+                mutate(
+                    &mut table,
+                    &mut next_id,
+                    16,
+                    (
+                        0,
+                        xorshift(&mut state) as u32,
+                        xorshift(&mut state) as u32,
+                        xorshift(&mut state) % 5_000 + 1,
+                    ),
+                );
+            }
+            for step in 0..400 {
+                mutate(&mut table, &mut next_id, 16, random_op(&mut state));
+                decide_all_ways(
+                    &format!("{name}/step{step}"),
+                    scheduler.as_mut(),
+                    reference,
+                    &table,
+                )
+                .unwrap();
+            }
+        }
+    }
+
+    /// MaxWeight (key −backlog) and SRPT alternate on **one** table, so
+    /// each decision starts from the other's order: with one flow per VOQ
+    /// the two rankings are nearly reversed, and the insertion pass
+    /// overruns its move budget into the fallback sort.
+    #[test]
+    fn alternating_opposite_disciplines_on_one_table_agree_with_the_scan() {
+        let mut state = 0x2545_f491_4f6c_dd1d;
+        let mut table = FlowTable::new();
+        let mut next_id = 0;
+        for src in 0..16u32 {
+            for d in 0..12u32 {
+                next_id += 1;
+                let dst = (src + 1 + d) % 16;
+                let size = xorshift(&mut state) % 100_000 + 1;
+                table
+                    .insert(FlowState::new(FlowId::new(next_id), voq(src, dst), size))
+                    .unwrap();
+            }
+        }
+        let mut srpt = Srpt::new();
+        let mut maxweight = MaxWeight::new();
+        let srpt_ref: Reference = |t| schedule_scan(&Srpt::new(), t);
+        let maxweight_ref: Reference = |t| schedule_scan(&MaxWeight::new(), t);
+        for step in 0..200 {
+            if step % 3 == 0 {
+                mutate(&mut table, &mut next_id, 16, random_op(&mut state));
+            }
+            decide_all_ways(&format!("srpt/step{step}"), &mut srpt, srpt_ref, &table).unwrap();
+            decide_all_ways(
+                &format!("maxweight/step{step}"),
+                &mut maxweight,
+                maxweight_ref,
+                &table,
+            )
+            .unwrap();
+        }
+    }
+}

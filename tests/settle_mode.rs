@@ -1,26 +1,38 @@
 //! Pins the settlement mode the fabric engine picks for every shipped
-//! scheduler.
+//! scheduler, and the reason it gives for an eager one.
 //!
 //! Lazy settlement composes only with disciplines that decide from
 //! per-VOQ views and can read them through the allocator's adjusting
 //! lens (`Scheduler::supports_lazy_views`). Every other scheduler makes
-//! the engine fall back to eager settlement, an `O(n)` sweep per event.
-//! The fallback is silent, so a scheduler that loses lazy support — or a
-//! doc that claims a pairing composes when it does not — is caught here.
+//! the engine fall back to eager settlement, an `O(n)` sweep per event,
+//! and `OnlineFabric::settle_reason` names why. A scheduler that loses
+//! lazy support — or a doc that claims a pairing composes when it does
+//! not — is caught here.
 
 use basrpt::core::{
     ExactBasrpt, FastBasrpt, Fifo, IncrementalScheduler, MaxWeight, RepFlow, RoundRobin, Scheduler,
     Srpt, ThresholdBacklogSrpt,
 };
-use basrpt::fabric::{settle_forced_eager, FatTree, OnlineFabric, SettleMode, SimConfig};
+use basrpt::fabric::{
+    settle_forced_eager, EagerReason, FatTree, OnlineFabric, SettleMode, SimConfig,
+};
+use basrpt::probe::Probe;
 use basrpt::types::SimTime;
 
-fn mode_of(scheduler: &mut dyn Scheduler) -> SettleMode {
-    let topo = FatTree::scaled(2, 2, 1).expect("valid scaled fat-tree");
-    let config = SimConfig::builder()
+fn topo() -> FatTree {
+    FatTree::scaled(2, 2, 1).expect("valid scaled fat-tree")
+}
+
+fn config() -> SimConfig {
+    SimConfig::builder()
         .horizon(SimTime::from_millis(1.0))
-        .build();
-    OnlineFabric::new(&topo, scheduler, config).settle_mode()
+        .build()
+}
+
+fn mode_and_reason(scheduler: &mut dyn Scheduler) -> (SettleMode, Option<EagerReason>) {
+    let topo = topo();
+    let online = OnlineFabric::new(&topo, scheduler, config());
+    (online.settle_mode(), online.settle_reason())
 }
 
 #[test]
@@ -81,6 +93,58 @@ fn every_shipped_scheduler_gets_its_documented_settle_mode() {
         ),
     ];
     for (name, mut scheduler, want) in cases {
-        assert_eq!(mode_of(scheduler.as_mut()), want, "{name}");
+        let want_reason = match want {
+            SettleMode::Lazy => None,
+            SettleMode::Eager => Some(EagerReason::SchedulerReadsTable),
+        };
+        assert_eq!(
+            mode_and_reason(scheduler.as_mut()),
+            (want, want_reason),
+            "{name}"
+        );
     }
+}
+
+/// A probe that keeps the trait's default: it wants every drain.
+struct FidelityProbe;
+
+impl Probe for FidelityProbe {}
+
+#[test]
+fn a_fidelity_probe_and_the_caller_each_force_eager_with_their_reason() {
+    if settle_forced_eager() {
+        eprintln!("skipped: eager settlement is forced by the environment");
+        return;
+    }
+    let topo = topo();
+    let mut srpt = Srpt::new();
+    let probed = OnlineFabric::with_probe(&topo, &mut srpt, config(), FidelityProbe);
+    assert_eq!(probed.settle_mode(), SettleMode::Eager);
+    assert_eq!(probed.settle_reason(), Some(EagerReason::FlowFidelityProbe));
+
+    let mut srpt = Srpt::new();
+    let forced = OnlineFabric::new(&topo, &mut srpt, config()).force_eager_settle();
+    assert_eq!(forced.settle_mode(), SettleMode::Eager);
+    assert_eq!(forced.settle_reason(), Some(EagerReason::ForcedByCaller));
+
+    // Forcing keeps an existing reason rather than hiding it.
+    let mut round_robin = RoundRobin::new();
+    let forced = OnlineFabric::new(&topo, &mut round_robin, config()).force_eager_settle();
+    assert_eq!(
+        forced.settle_reason(),
+        Some(EagerReason::SchedulerReadsTable)
+    );
+}
+
+#[test]
+fn an_environment_forced_eager_run_says_so() {
+    if !settle_forced_eager() {
+        eprintln!("skipped: BASRPT_SETTLE=eager is not set");
+        return;
+    }
+    let mut srpt = Srpt::new();
+    assert_eq!(
+        mode_and_reason(&mut srpt),
+        (SettleMode::Eager, Some(EagerReason::ForcedByEnv))
+    );
 }
