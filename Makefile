@@ -1,6 +1,6 @@
 # Developer entry points. `make verify` is the tier-1 gate from ROADMAP.md.
 
-.PHONY: verify lint test test-baselines bench-smoke trace-smoke daemon-smoke docs doc-tests clean
+.PHONY: verify lint test test-baselines bench-smoke trace-smoke daemon-smoke docs doc-tests loc clean
 
 # Tier-1: release build + the root package's quiet test run, plus the
 # trace round-trip smoke, a warning-free lint/format gate, and the doc
@@ -64,6 +64,15 @@ docs:
 # Every rustdoc worked example across the workspace, compiled and run.
 doc-tests:
 	cargo test --workspace --doc -q
+
+# Non-test lines per crate: the lines of every crates/<crate>/src/**/*.rs
+# above that file's first `#[cfg(test)]` (the whole file when it has none).
+loc:
+	@for crate in crates/*/; do \
+		find $$crate/src -name '*.rs' -exec awk \
+			'FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }' {} + \
+			| awk -v c="$$(basename $$crate)" '{ s += $$1 } END { printf "%-14s %6d\n", c, s }'; \
+	done
 
 clean:
 	cargo clean

@@ -8,10 +8,15 @@
 //! * `fair_share` — the incremental max-min water-filling engine, whose
 //!   per-event cost is dominated by allocator rounds instead of the
 //!   crossbar matching;
-//! * `ecmp_srpt` — single-path routing: the per-plane budget filter in
-//!   place of the aggregate one, no replication;
-//! * `repflow` — ECMP plus replica races for every sub-100 KB flow, which
-//!   adds the race bookkeeping and a second admission pass on top.
+//! * `ecmp_srpt` — single-path routing on the same delta-rate engine:
+//!   the core filter split per plane in place of the aggregate one, no
+//!   replication;
+//! * `repflow` — the ECMP engine plus replica races for every sub-100 KB
+//!   flow, which adds the race bookkeeping and a second admission pass
+//!   on top.
+//!
+//! All three matching rows run the one production engine, so their
+//! differences price the policies alone.
 //!
 //! Medians land in `results/bench.json` via the merging recorder, so the
 //! relative cost of the baselines is tracked alongside the scale curves.

@@ -26,7 +26,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::engine::{run_with_probe, FabricError, FabricRun, SimConfig};
+use crate::engine::{feed, FabricError, FabricRun, SimConfig};
+use crate::online::OnlineFabric;
 use crate::topology::Topology;
 use crate::FatTree;
 use basrpt_core::Scheduler;
@@ -282,13 +283,8 @@ where
     /// outside the topology, is a self-loop, has zero size, or goes
     /// backwards in time.
     pub fn run(self) -> Result<FabricRun, FabricError> {
-        run_with_probe(
-            self.topo,
-            self.scheduler,
-            self.generator,
-            self.config,
-            self.probe,
-        )
+        let online = OnlineFabric::with_probe(self.topo, self.scheduler, self.config, self.probe);
+        feed(online, self.generator)?.finish()
     }
 }
 

@@ -73,9 +73,10 @@
 
 use crate::calendar::CompletionCalendar;
 use crate::engine::ScheduledEntry;
+use crate::repflow::plane_of;
 use crate::topology::Topology;
 use basrpt_core::{ViewAdjust, VoqView};
-use dcn_types::{FastMap, FastSet, FlowId, Rate, SimTime, Voq};
+use dcn_types::{FastMap, FastSet, FlowId, PlaneId, RackId, Rate, SimTime, Voq};
 use std::collections::hash_map::Entry;
 
 /// The allocation delta of one [`DeltaAllocator::apply`] call: how many
@@ -601,53 +602,97 @@ impl ViewAdjust for LiveViews<'_> {
     }
 }
 
-/// Persistent scratch state for the oversubscribed-core admission filter:
-/// per-rack uplink/downlink budget accumulators and the filtered output,
-/// reused across events so the hot path never allocates. Semantically
-/// identical to filtering a schedule (in priority order) down to the flows
-/// the core layer can carry: intra-rack flows always pass; inter-rack
-/// flows consume `edge_rate` of their source rack's uplink and destination
-/// rack's downlink budgets and are skipped once a budget is exhausted.
-#[derive(Debug, Default)]
+/// The core-layer admission filter with its persistent scratch state:
+/// per-(rack, plane) uplink/downlink budget accumulators plus the admitted
+/// and rejected flows, reused across events so the hot path never
+/// allocates. Filtering walks a schedule in priority order: intra-rack
+/// flows always pass; an inter-rack flow consumes `edge_rate` of its
+/// source rack's uplink and destination rack's downlink budgets on plane
+/// [`plane_of`]`(id, planes)`, each plane carrying `uplink / planes`, and
+/// is rejected once either budget is exhausted. With `planes == 1` (what
+/// [`simulate`](crate::simulate) and the reference engines run) this is
+/// the aggregate per-rack filter and the plane hash is skipped; the
+/// single-path ECMP and RepFlow runs use the topology's plane count.
+#[derive(Debug)]
 pub(crate) struct CoreBudgets {
+    planes: u32,
+    edge: f64,
+    /// One plane's share of a rack's uplink, `uplink / planes`, with a
+    /// tolerance that absorbs f64 accumulation when the budget divides
+    /// evenly.
+    limit: f64,
     up_used: Vec<f64>,
     down_used: Vec<f64>,
     out: Vec<(FlowId, Voq)>,
+    /// The inter-rack flows the last [`filter`](CoreBudgets::filter)
+    /// rejected, in priority order (RepFlow's replica pass reads them
+    /// against the residual budgets).
+    pub(crate) rejected: Vec<(FlowId, Voq)>,
 }
 
 impl CoreBudgets {
-    /// Filters `selected` under `topo`'s per-rack capacity, returning the
-    /// admitted sub-sequence in the original priority order.
+    /// Empty budgets for `topo` split over `planes` core planes.
+    pub(crate) fn new<T: Topology + ?Sized>(topo: &T, planes: u32) -> Self {
+        let slots = topo.num_racks() as usize * planes as usize;
+        CoreBudgets {
+            planes,
+            edge: topo.edge_rate().bytes_per_sec(),
+            limit: topo.rack_uplink_capacity().bytes_per_sec() / f64::from(planes) * (1.0 + 1e-9),
+            up_used: vec![0.0; slots],
+            down_used: vec![0.0; slots],
+            out: Vec::new(),
+            rejected: Vec::new(),
+        }
+    }
+
+    /// Filters `selected` under `topo`'s per-rack, per-plane capacity,
+    /// returning the admitted sub-sequence in the original priority order
+    /// and recording the rejected one.
     pub(crate) fn filter<T: Topology + ?Sized>(
         &mut self,
         topo: &T,
         selected: impl Iterator<Item = (FlowId, Voq)>,
     ) -> &[(FlowId, Voq)] {
-        let edge = topo.edge_rate().bytes_per_sec();
-        let uplink = topo.rack_uplink_capacity().bytes_per_sec();
-        self.up_used.clear();
-        self.up_used.resize(topo.num_racks() as usize, 0.0);
-        self.down_used.clear();
-        self.down_used.resize(topo.num_racks() as usize, 0.0);
+        self.up_used.fill(0.0);
+        self.down_used.fill(0.0);
         self.out.clear();
+        self.rejected.clear();
         for (id, voq) in selected {
             if topo.is_intra_rack(voq) {
                 self.out.push((id, voq));
                 continue;
             }
-            let src_rack = topo.rack_of(voq.src()).as_usize();
-            let dst_rack = topo.rack_of(voq.dst()).as_usize();
-            // Tolerance absorbs f64 accumulation when the budget divides
-            // evenly — identical to the reference filter.
-            if self.up_used[src_rack] + edge <= uplink * (1.0 + 1e-9)
-                && self.down_used[dst_rack] + edge <= uplink * (1.0 + 1e-9)
-            {
-                self.up_used[src_rack] += edge;
-                self.down_used[dst_rack] += edge;
+            let plane = if self.planes == 1 {
+                PlaneId::new(0)
+            } else {
+                plane_of(id, self.planes)
+            };
+            let racks = (topo.rack_of(voq.src()), topo.rack_of(voq.dst()));
+            if self.admit(racks, plane) {
                 self.out.push((id, voq));
+            } else {
+                self.rejected.push((id, voq));
             }
         }
         &self.out
+    }
+
+    /// Charges one flow from rack `src` to rack `dst` to `plane` if both
+    /// rack budgets there have room; returns whether it was admitted.
+    #[inline]
+    pub(crate) fn admit(&mut self, (src, dst): (RackId, RackId), plane: PlaneId) -> bool {
+        let planes = self.planes as usize;
+        let up = src.as_usize() * planes + plane.as_usize();
+        let down = dst.as_usize() * planes + plane.as_usize();
+        let (edge, limit) = (self.edge, self.limit);
+        let (up_used, down_used) = (&mut self.up_used[up], &mut self.down_used[down]);
+        if *up_used + edge <= limit && *down_used + edge <= limit {
+            *up_used += edge;
+            *down_used += edge;
+            true
+        } else {
+            false
+        }
     }
 }
 
@@ -1027,15 +1072,51 @@ mod tests {
         let selected: Vec<(FlowId, Voq)> = (0..8)
             .map(|i| (f(i), voq(i as u32, 8 + i as u32)))
             .collect();
-        let mut budgets = CoreBudgets::default();
+        let mut budgets = CoreBudgets::new(&topo, 1);
         let got = budgets.filter(&topo, selected.iter().copied()).to_vec();
         assert_eq!(got.len(), 4, "one 40 Gbps uplink carries 4 edge flows");
         assert_eq!(&got[..], &selected[..4], "priority order preserved");
+        assert_eq!(
+            budgets.rejected,
+            &selected[4..],
+            "rejections recorded in order"
+        );
         // Intra-rack flows pass even with the core budget exhausted.
         let mut with_local = selected.clone();
         with_local.push((f(99), voq(0, 1)));
         let got = budgets.filter(&topo, with_local.iter().copied()).to_vec();
         assert_eq!(got.len(), 5);
         assert_eq!(got[4], (f(99), voq(0, 1)));
+    }
+
+    #[test]
+    fn plane_budgets_split_the_uplink_by_flow_hash() {
+        // 2:1 k=4 fat-tree: 20 Gbps uplinks over two planes of one
+        // edge-rate flow each. Two flows out of rack 0 hashed onto the
+        // same plane collide even though the other plane is idle.
+        let topo = crate::KAryFatTree::builder(4)
+            .hosts_per_edge(4)
+            .oversubscription(2.0)
+            .build()
+            .unwrap();
+        let mut ids = (0u64..).filter(|&i| plane_of(f(i), 2) == PlaneId::new(0));
+        let (a, b) = (ids.next().unwrap(), ids.next().unwrap());
+        let other = (0u64..)
+            .find(|&i| plane_of(f(i), 2) == PlaneId::new(1))
+            .unwrap();
+        let selected = [(f(a), voq(0, 4)), (f(b), voq(1, 8)), (f(other), voq(2, 12))];
+        let mut budgets = CoreBudgets::new(&topo, 2);
+        let got = budgets.filter(&topo, selected.iter().copied()).to_vec();
+        assert_eq!(got, vec![selected[0], selected[2]]);
+        assert_eq!(budgets.rejected, vec![selected[1]]);
+        // The rejected flow fits the residual budget of the other plane
+        // only once: the third flow already holds it.
+        let racks = (RackId::new(0), RackId::new(2));
+        assert!(!budgets.admit(racks, PlaneId::new(1)));
+        // The aggregate filter ignores planes: rack 0's 20 Gbps carry the
+        // two colliding flows, and the third is the one left out.
+        let mut aggregate = CoreBudgets::new(&topo, 1);
+        let got = aggregate.filter(&topo, selected.iter().copied());
+        assert_eq!(got, &selected[..2]);
     }
 }

@@ -1,6 +1,8 @@
 //! The event-driven flow-level simulation engine.
 
 use crate::calendar::CompletionCalendar;
+use crate::delta::CoreBudgets;
+use crate::online::{OfferError, OnlineFabric};
 use crate::topology::Topology;
 use basrpt_core::{FlowState, FlowTable, Scheduler};
 use dcn_metrics::{
@@ -274,38 +276,6 @@ pub(crate) struct FlowMeta {
     pub(crate) arrival: SimTime,
 }
 
-/// Filters a schedule (in priority order) down to the flows the core layer
-/// can carry: intra-rack flows always pass; inter-rack flows consume
-/// `edge_rate` of their source rack's uplink and destination rack's
-/// downlink budgets and are skipped once a budget is exhausted.
-fn enforce_core_capacity<T: Topology + ?Sized>(
-    topo: &T,
-    selected: impl Iterator<Item = (FlowId, Voq)>,
-) -> Vec<(FlowId, Voq)> {
-    let edge = topo.edge_rate().bytes_per_sec();
-    let uplink = topo.rack_uplink_capacity().bytes_per_sec();
-    let mut up_used = vec![0.0f64; topo.num_racks() as usize];
-    let mut down_used = vec![0.0f64; topo.num_racks() as usize];
-    let mut out = Vec::new();
-    for (id, voq) in selected {
-        if topo.is_intra_rack(voq) {
-            out.push((id, voq));
-            continue;
-        }
-        let src_rack = topo.rack_of(voq.src()).as_usize();
-        let dst_rack = topo.rack_of(voq.dst()).as_usize();
-        // Tolerance absorbs f64 accumulation when the budget divides evenly.
-        if up_used[src_rack] + edge <= uplink * (1.0 + 1e-9)
-            && down_used[dst_rack] + edge <= uplink * (1.0 + 1e-9)
-        {
-            up_used[src_rack] += edge;
-            down_used[dst_rack] += edge;
-            out.push((id, voq));
-        }
-    }
-    out
-}
-
 /// Drain-accounting state of one scheduled flow.
 ///
 /// A scheduled flow drains at the edge line rate from the instant it was
@@ -421,33 +391,33 @@ pub fn simulate<T: Topology + ?Sized, S: Scheduler + ?Sized>(
     generator: impl IntoIterator<Item = FlowArrival>,
     config: SimConfig,
 ) -> Result<FabricRun, FabricError> {
-    run_with_probe(topo, scheduler, generator, config, NoProbe)
+    let online = OnlineFabric::with_probe(topo, scheduler, config, NoProbe);
+    feed(online, generator)?.finish()
 }
 
-/// The probe-instrumented batch driver behind [`simulate`] and the
-/// [`FabricSim`](crate::FabricSim) builder: a thin wrapper over the
-/// step-able [`OnlineFabric`](crate::OnlineFabric) engine (which keeps a
-/// persistent [`DeltaAllocator`] across events and pays calendar work only
-/// for the flows whose allocation actually changed).
+/// Feeds a whole arrival stream through the step-able
+/// [`OnlineFabric`] engine (which keeps a persistent [`DeltaAllocator`]
+/// across events and pays calendar work only for the flows whose
+/// allocation actually changed) — the one batch driver behind
+/// [`simulate`], the [`FabricSim`](crate::FabricSim) builder, the sharded
+/// runs, [`simulate_ecmp`](crate::simulate_ecmp) and
+/// [`simulate_repflow`](crate::simulate_repflow).
 ///
-/// For each arrival the wrapper steps the online engine through every
-/// event instant *strictly before* the arrival, then offers it — so
+/// For each arrival the driver steps the engine through every event
+/// instant *strictly before* the arrival, then offers it — so
 /// same-instant completions, samples and decisions coalesce with the
 /// arrival exactly as in the monolithic loop this replaced, and the
 /// in-flight buffer never holds more than one instant's arrivals. The
 /// differential suites (`tests/delta_differential.rs`,
 /// `tests/online_differential.rs`) pin the outputs bit-identical to the
 /// reference engines.
-pub(crate) fn run_with_probe<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe>(
-    topo: &T,
-    scheduler: &mut S,
+///
+/// [`DeltaAllocator`]: crate::DeltaAllocator
+pub(crate) fn feed<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe>(
+    online: OnlineFabric<'t, 's, T, S, P>,
     generator: impl IntoIterator<Item = FlowArrival>,
-    config: SimConfig,
-    probe: P,
-) -> Result<FabricRun, FabricError> {
-    let mut online = crate::online::OnlineFabric::with_probe(topo, scheduler, config, probe)
-        .high_watermark(usize::MAX)
-        .collect_completions(false);
+) -> Result<OnlineFabric<'t, 's, T, S, P>, FabricError> {
+    let mut online = online.high_watermark(usize::MAX).collect_completions(false);
     for arrival in generator {
         online.step_before(arrival.time)?;
         if online.is_finished() {
@@ -457,47 +427,17 @@ pub(crate) fn run_with_probe<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Pro
         }
         match online.offer(arrival) {
             Ok(_) => {}
-            Err(crate::online::OfferError::Rejected(e)) => return Err(e),
+            Err(OfferError::Rejected(e)) => return Err(e),
             Err(e) => unreachable!("unbounded buffer on an unfinished engine: {e}"),
         }
     }
-    online.finish()
+    Ok(online)
 }
 
-/// The reference event loop with the linear completion rescan (see
-/// [`crate::reference`]).
-pub(crate) fn run_scan_with_probe<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe>(
-    topo: &T,
-    scheduler: &mut S,
-    generator: impl IntoIterator<Item = FlowArrival>,
-    config: SimConfig,
-    probe: P,
-) -> Result<FabricRun, FabricError> {
-    run_loop(topo, scheduler, generator, config, probe, ScanLookup)
-}
-
-/// The reference event loop that rebuilds the full allocation state — the
-/// carry-over map, the scheduled-entry vector, and the calendar's live map
-/// — on every reschedule (the PR 3–5 production engine, kept as the
-/// full-recompute baseline; see [`crate::reference`]).
-pub(crate) fn run_rebuild_with_probe<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe>(
-    topo: &T,
-    scheduler: &mut S,
-    generator: impl IntoIterator<Item = FlowArrival>,
-    config: SimConfig,
-    probe: P,
-) -> Result<FabricRun, FabricError> {
-    run_loop(
-        topo,
-        scheduler,
-        generator,
-        config,
-        probe,
-        CalendarLookup::default(),
-    )
-}
-
-/// The event loop, generic over the completion-lookup strategy.
+/// The reference event loop behind [`crate::reference`], generic over the
+/// completion-lookup strategy: [`ScanLookup`] rescans every scheduled
+/// flow on every wakeup (the seed engine), [`CalendarLookup`] rebuilds the
+/// calendar's live map on every reschedule (the full-rebuild engine).
 ///
 /// The engine always composes an internal [`BacklogSampler`] (which fills
 /// `FabricRun`'s time-series fields) with the caller's `probe` via
@@ -509,7 +449,7 @@ pub(crate) fn run_rebuild_with_probe<T: Topology + ?Sized, S: Scheduler + ?Sized
 /// sample taken at an instant with coincident arrivals sees them (a run
 /// whose workload starts at `t = 0` no longer records a spurious all-zero
 /// first point).
-fn run_loop<T, S, P, L>(
+pub(crate) fn run_loop<T, S, P, L>(
     topo: &T,
     scheduler: &mut S,
     generator: impl IntoIterator<Item = FlowArrival>,
@@ -526,6 +466,7 @@ where
     let mut generator = generator.into_iter();
     let edge_rate = topo.edge_rate();
     let enforce_core = config.enforce_core_capacity || !topo.is_full_bisection();
+    let mut budgets = CoreBudgets::new(topo, 1);
 
     let mut table = FlowTable::new();
     let mut meta: HashMap<FlowId, FlowMeta> = HashMap::new();
@@ -682,7 +623,7 @@ where
                 }));
             };
             if enforce_core {
-                for (id, voq) in enforce_core_capacity(topo, schedule.iter()) {
+                for &(id, voq) in budgets.filter(topo, schedule.iter()) {
                     admit(id, voq);
                 }
             } else {
@@ -824,16 +765,13 @@ mod tests {
         let topo = small_topo();
         let size = Bytes::new(7_777);
         let mut counter = dcn_probe::EventCounterProbe::new();
-        let run = run_with_probe(
-            &topo,
-            &mut Srpt::new(),
-            vec![arrival(0, 0.0, 0, 1, size.as_u64())],
-            SimConfig::builder()
-                .horizon(SimTime::from_secs(0.01))
-                .build(),
-            &mut counter,
-        )
-        .unwrap();
+        let config = SimConfig::builder()
+            .horizon(SimTime::from_secs(0.01))
+            .build();
+        let mut sched = Srpt::new();
+        let online = OnlineFabric::with_probe(&topo, &mut sched, config, &mut counter);
+        let flows = vec![arrival(0, 0.0, 0, 1, size.as_u64())];
+        let run = feed(online, flows).unwrap().finish().unwrap();
         assert_eq!(run.completions, 1);
         assert_eq!(counter.drains(), 1, "no residue micro-drains allowed");
         assert_eq!(run.throughput.delivered(), size);

@@ -71,6 +71,7 @@ use crate::delta::{CoreBudgets, DeltaAllocator, DeltaStats, SettledDrain};
 use crate::engine::{
     validate_arrival, FabricError, FabricRun, FlowMeta, ScheduledEntry, SimConfig,
 };
+use crate::repflow::Races;
 use crate::settle::{EagerReason, SettleMode};
 use crate::shard::CompletionRecord;
 use crate::topology::Topology;
@@ -244,7 +245,13 @@ pub struct OnlineFabric<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: 
     table: FlowTable,
     meta: HashMap<dcn_types::FlowId, FlowMeta>,
     alloc: DeltaAllocator,
+    /// The core filter: one aggregate plane, or the topology's planes for
+    /// the single-path ECMP and RepFlow runs (never snapshotted — those
+    /// engines are never handed out).
     budgets: CoreBudgets,
+    /// RepFlow's replica races; `None` on every engine but the one
+    /// [`simulate_repflow`](crate::simulate_repflow) builds.
+    races: Option<Races>,
     /// Reusable scratch for settled drains, so the hot per-event path
     /// never allocates (the allocator cannot call back into `self` while
     /// it is mutably borrowed, so drains are staged here first).
@@ -310,7 +317,8 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
             table: FlowTable::new(),
             meta: HashMap::new(),
             alloc: DeltaAllocator::new(edge_rate),
-            budgets: CoreBudgets::default(),
+            budgets: CoreBudgets::new(topo, 1),
+            races: None,
             drain_buf: Vec::new(),
             fct: FctRecorder::new(),
             fct_by_size: SizeBucketRecorder::pfabric_buckets(),
@@ -328,6 +336,24 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
             collect_completions: true,
             completed: Vec::new(),
             finished: false,
+        }
+    }
+
+    /// An engine whose core filter splits each rack's uplink over the
+    /// topology's core planes, optionally carrying RepFlow's replica
+    /// `races` — the engine behind [`simulate_ecmp`](crate::simulate_ecmp)
+    /// and [`simulate_repflow`](crate::simulate_repflow).
+    pub(crate) fn multi_plane(
+        topo: &'t T,
+        scheduler: &'s mut S,
+        config: SimConfig,
+        probe: P,
+        races: Option<Races>,
+    ) -> Self {
+        OnlineFabric {
+            budgets: CoreBudgets::new(topo, topo.core_planes().max(1)),
+            races,
+            ..Self::with_probe(topo, scheduler, config, probe)
         }
     }
 
@@ -354,8 +380,6 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
         snapshot: FabricSnapshot,
     ) -> Result<Self, FabricError> {
         let bad = |msg: String| FabricError::BadConfig(format!("bad snapshot: {msg}"));
-        let edge_rate = topo.edge_rate();
-        let enforce_core = snapshot.config.enforce_core_capacity || !topo.is_full_bisection();
 
         let mut table = FlowTable::new();
         for flow in &snapshot.flows {
@@ -432,22 +456,13 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
                 )));
             }
         }
-        let alloc = DeltaAllocator::restore(edge_rate, snapshot.entries, snapshot.alloc_stats);
-        let eager_reason =
-            EagerReason::of(probe.wants_flow_fidelity(), scheduler.supports_lazy_views());
+        let alloc =
+            DeltaAllocator::restore(topo.edge_rate(), snapshot.entries, snapshot.alloc_stats);
 
         Ok(OnlineFabric {
-            topo,
-            scheduler,
-            probe,
-            config: snapshot.config,
-            enforce_core,
-            eager_reason,
             table,
             meta,
             alloc,
-            budgets: CoreBudgets::default(),
-            drain_buf: Vec::new(),
             fct: snapshot.fct,
             fct_by_size: snapshot.fct_by_size,
             throughput: snapshot.throughput,
@@ -464,6 +479,7 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
             collect_completions: snapshot.collect_completions,
             completed: snapshot.completed,
             finished: snapshot.finished,
+            ..Self::with_probe(topo, scheduler, snapshot.config, probe)
         })
     }
 
@@ -584,9 +600,13 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
     ///
     /// # Errors
     ///
-    /// Returns [`FabricError::BadArrival`] if a buffered arrival's flow id
-    /// collides with an active flow (the only admission failure left after
-    /// [`offer`](OnlineFabric::offer) validation).
+    /// Returns [`FabricError::BadArrival`] when a buffered arrival fails
+    /// admission into the flow table, which [`offer`](OnlineFabric::offer)
+    /// validation cannot rule out: its flow id collides with an active
+    /// flow, or its bytes would overflow the table's 64-bit backlog sums.
+    /// The failing arrival stays buffered (counted by
+    /// [`in_flight`](OnlineFabric::in_flight)), so every later step
+    /// returns the same error.
     pub fn step_until(&mut self, limit: SimTime) -> Result<u64, FabricError> {
         self.step_while(|t| t <= limit)
     }
@@ -614,6 +634,9 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
             .expect("scheduled flow is active");
         debug_assert_eq!(outcome.drained, drain.amount, "exact drain cannot be short");
         self.throughput.deliver(Bytes::new(outcome.drained));
+        if let Some(races) = &mut self.races {
+            races.on_drain(drain.flow, outcome.drained);
+        }
         let ev = DrainEvent {
             time: t.as_secs(),
             flow: drain.flow,
@@ -627,7 +650,11 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
                 .meta
                 .remove(&drain.flow)
                 .expect("active flow has metadata");
-            let flow_fct = t - info.arrival + self.config.base_latency;
+            let latency = self.config.base_latency;
+            let flow_fct = match &mut self.races {
+                Some(races) => races.on_completion(drain.flow, drain.voq, info, t, latency),
+                None => t - info.arrival + latency,
+            };
             self.fct.record(info.class, info.size, flow_fct);
             self.fct_by_size.record(info.size, flow_fct);
             let ev = CompletionEvent {
@@ -658,6 +685,9 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
     /// Runs one event instant `t`: settle completions, admit due
     /// arrivals, sample, reschedule — the batch loop body, verbatim.
     fn advance_to(&mut self, t: SimTime) -> Result<(), FabricError> {
+        if let Some(races) = &mut self.races {
+            races.resolve_wins(t);
+        }
         let elapsed = t - self.clock;
         let mut completed_any = false;
         if elapsed > SimTime::ZERO {
@@ -689,11 +719,11 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
 
         // Arrivals landing at (or before) the current instant.
         let mut arrived_any = false;
-        while let Some(arrival) = self.pending.front() {
+        while let Some(&arrival) = self.pending.front() {
             if arrival.time > self.clock {
                 break;
             }
-            let arrival = self.pending.pop_front().expect("checked above");
+            // Pop only once admitted: a failing arrival stays buffered.
             self.table
                 .insert(FlowState::new(
                     arrival.id,
@@ -701,6 +731,11 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
                     arrival.size.as_u64(),
                 ))
                 .map_err(|e| FabricError::BadArrival(e.to_string()))?;
+            self.pending.pop_front();
+            if let Some(races) = &mut self.races {
+                let crosses_core = self.enforce_core && !self.topo.is_intra_rack(arrival.voq);
+                races.open(arrival.id, arrival.size, crosses_core);
+            }
             self.meta.insert(
                 arrival.id,
                 FlowMeta {
@@ -758,7 +793,11 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
             self.sampler.on_decision(&ev);
             self.probe.on_decision(&ev);
             let selected = if self.enforce_core {
-                self.budgets.filter(self.topo, schedule.iter()).to_vec()
+                let admitted = self.budgets.filter(self.topo, schedule.iter()).to_vec();
+                if let Some(races) = &mut self.races {
+                    races.replicate(self.topo, &mut self.budgets, self.clock);
+                }
+                admitted
             } else {
                 schedule.into_pairs()
             };
@@ -798,11 +837,17 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
     /// # Errors
     ///
     /// As [`step_until`](OnlineFabric::step_until).
-    pub fn finish(mut self) -> Result<FabricRun, FabricError> {
+    pub fn finish(self) -> Result<FabricRun, FabricError> {
+        self.finish_with_races().map(|(run, _)| run)
+    }
+
+    /// [`finish`](OnlineFabric::finish), also handing back the replica
+    /// races for [`simulate_repflow`](crate::simulate_repflow) to retire.
+    pub(crate) fn finish_with_races(mut self) -> Result<(FabricRun, Option<Races>), FabricError> {
         self.step_until(self.config.horizon)?;
         debug_assert!(self.finished, "the horizon event marks the engine finished");
         let series = self.sampler.into_series();
-        Ok(FabricRun {
+        let run = FabricRun {
             fct: self.fct,
             fct_by_size: self.fct_by_size,
             throughput: self.throughput,
@@ -817,7 +862,8 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
             leftover_flows: self.table.len(),
             reschedules: self.reschedules,
             horizon: self.config.horizon,
-        })
+        };
+        Ok((run, self.races))
     }
 
     /// Captures the full engine state as a [`FabricSnapshot`]. The engine
@@ -927,19 +973,34 @@ mod tests {
 
     #[test]
     fn backlog_overflow_surfaces_as_a_bad_arrival() {
-        let topo = small_topo();
-        let mut sched = Srpt::new();
-        let mut online = OnlineFabric::new(&topo, &mut sched, config(0.01));
-        online.offer(arrival(0, 0.0, 0, 1, u64::MAX)).unwrap();
-        online.offer(arrival(1, 0.0, 2, 3, u64::MAX)).unwrap();
-        match online.step_until(SimTime::from_millis(1.0)) {
-            Err(FabricError::BadArrival(msg)) => {
-                assert!(msg.contains("f1 would overflow"), "{msg}");
+        // Both admission failures `offer` cannot rule out: the table's
+        // backlog sums would overflow, or the flow id is already active.
+        let cases = [
+            (
+                arrival(1, 0.0, 2, 3, u64::MAX),
+                "f1 would overflow",
+                u64::MAX,
+            ),
+            (arrival(0, 0.0, 2, 3, 100), "f0 is already active", 1_000),
+        ];
+        for (second, want, first_size) in cases {
+            let topo = small_topo();
+            let mut sched = Srpt::new();
+            let mut online = OnlineFabric::new(&topo, &mut sched, config(0.01));
+            online.offer(arrival(0, 0.0, 0, 1, first_size)).unwrap();
+            online.offer(second).unwrap();
+            // The failing arrival is neither admitted nor dropped: it stays
+            // buffered, and every later step reports it again.
+            for _ in 0..2 {
+                match online.step_until(SimTime::from_millis(1.0)) {
+                    Err(FabricError::BadArrival(msg)) => assert!(msg.contains(want), "{msg}"),
+                    other => panic!("expected a bad arrival, got {other:?}"),
+                }
+                online.table.check_invariants().unwrap();
+                assert_eq!(online.table.len(), 1);
+                assert_eq!(online.in_flight(), 1, "{want}");
             }
-            other => panic!("expected a bad arrival, got {other:?}"),
         }
-        online.table.check_invariants().unwrap();
-        assert_eq!(online.table.len(), 1);
     }
 
     #[test]

@@ -14,20 +14,21 @@
 //!   vector, calendar live map) rebuilt on every reschedule, also `O(n)`
 //!   per event with a higher constant.
 //!
-//! All three paths share the exact epoch-based drain accounting and the
-//! same event ordering within an instant, so their outputs must be
-//! **bit-identical**: any divergence is an engine bug, not a modelling
-//! difference. `tests/calendar_differential.rs` pins full-rebuild against
-//! scan, and `tests/delta_differential.rs` pins the delta engine against
-//! both, across seeds × disciplines — the same technique PR 1 used to pin
-//! the incremental scheduler against the from-scratch one.
+//! All three paths share the exact epoch-based drain accounting, the
+//! core admission filter and the same event ordering within an instant,
+//! so their outputs must be **bit-identical**: any divergence is an
+//! engine bug, not a modelling difference. `tests/calendar_differential.rs`
+//! pins full-rebuild against scan, and `tests/delta_differential.rs` pins
+//! the delta engine against both, across seeds × disciplines — the same
+//! technique PR 1 used to pin the incremental scheduler against the
+//! from-scratch one.
 //!
 //! Per-event costs are measured in the `event_loop` and `delta_reschedule`
 //! bench groups of `sched_overhead` and modelled in `PERFMODEL.md`; these
 //! paths are for tests and benches — production callers should use
 //! [`crate::simulate`] or the [`FabricSim`](crate::FabricSim) builder.
 
-use crate::engine::{run_rebuild_with_probe, run_scan_with_probe};
+use crate::engine::{run_loop, CalendarLookup, ScanLookup};
 use crate::{FabricError, FabricRun, SimConfig, Topology};
 use basrpt_core::Scheduler;
 use dcn_probe::{NoProbe, Probe};
@@ -49,7 +50,7 @@ pub fn simulate_scan<T: Topology + ?Sized, S: Scheduler + ?Sized>(
     generator: impl IntoIterator<Item = FlowArrival>,
     config: SimConfig,
 ) -> Result<FabricRun, FabricError> {
-    run_scan_with_probe(topo, scheduler, generator, config, NoProbe)
+    run_loop(topo, scheduler, generator, config, NoProbe, ScanLookup)
 }
 
 /// Probe-instrumented variant of [`simulate_scan`], for differential tests
@@ -66,7 +67,7 @@ pub fn simulate_scan_probed<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Prob
     config: SimConfig,
     probe: P,
 ) -> Result<FabricRun, FabricError> {
-    run_scan_with_probe(topo, scheduler, generator, config, probe)
+    run_loop(topo, scheduler, generator, config, probe, ScanLookup)
 }
 
 /// Runs one simulation with the full-recompute calendar engine: indexed
@@ -87,7 +88,8 @@ pub fn simulate_full_rebuild<T: Topology + ?Sized, S: Scheduler + ?Sized>(
     generator: impl IntoIterator<Item = FlowArrival>,
     config: SimConfig,
 ) -> Result<FabricRun, FabricError> {
-    run_rebuild_with_probe(topo, scheduler, generator, config, NoProbe)
+    let lookup = CalendarLookup::default();
+    run_loop(topo, scheduler, generator, config, NoProbe, lookup)
 }
 
 /// Probe-instrumented variant of [`simulate_full_rebuild`], for
@@ -104,7 +106,8 @@ pub fn simulate_full_rebuild_probed<T: Topology + ?Sized, S: Scheduler + ?Sized,
     config: SimConfig,
     probe: P,
 ) -> Result<FabricRun, FabricError> {
-    run_rebuild_with_probe(topo, scheduler, generator, config, probe)
+    let lookup = CalendarLookup::default();
+    run_loop(topo, scheduler, generator, config, probe, lookup)
 }
 
 /// Runs one max-min fair-share simulation with the **naive** `O(n²)`

@@ -1,27 +1,33 @@
 //! ECMP plane assignment and RepFlow-style short-flow replication.
 //!
 //! The multi-path [`Topology`] exposes `core_planes` independent core
-//! planes (a k-ary fat-tree has `k/2`). This module models them:
+//! planes (a k-ary fat-tree has `k/2`). This module models them on the
+//! production engine — the [`OnlineFabric`] event loop with its delta
+//! allocator, completion calendar and lazy settlement, driven by the same
+//! batch driver as [`crate::simulate`]:
 //!
 //! * [`simulate_ecmp`] — single-path routing: every inter-rack flow is
 //!   hashed onto one plane ([`plane_of`], FNV-1a over the flow id — the
-//!   deterministic stand-in for ECMP's five-tuple hash) and the matching
-//!   engine's core filter is enforced **per plane** (each plane carries
+//!   deterministic stand-in for ECMP's five-tuple hash) and the engine's
+//!   core filter is enforced **per plane** (each plane carries
 //!   `uplink / planes` of a rack's budget). Hash collisions can reject a
 //!   flow even when another plane is idle — exactly the ECMP pathology
-//!   RepFlow exploits.
+//!   RepFlow exploits. This is [`crate::simulate`] with the topology's
+//!   plane count instead of one aggregate plane, and nothing else.
 //! * [`simulate_repflow`] — the RepFlow discipline (Xu & Li): flows
 //!   shorter than the [`RepFlow`] threshold additionally place one
 //!   replica on an alternate plane whenever their primary plane is
-//!   saturated, and the **first copy to finish wins**. Replication is
-//!   opportunistic and subordinate: a replica transmits only in intervals
-//!   where its flow was crossbar-matched but plane-rejected (the NICs are
-//!   provably idle then), and replicas consume only budget left over
-//!   after every single-path admission — so the base trajectory of a
-//!   RepFlow run is **bit-identical** to the [`simulate_ecmp`] run of the
-//!   same workload. That gives the dominance property
-//!   `tests/repflow_props.rs` pins: every flow's RepFlow FCT is ≤ its
-//!   single-path FCT, with equality on one-plane topologies.
+//!   saturated, and the **first copy to finish wins**. The races are a
+//!   crate-private layer ([`Races`]) the ECMP engine calls at five sites
+//!   of its event loop. Replication is opportunistic and subordinate: a
+//!   replica transmits only in intervals where its flow was
+//!   crossbar-matched but plane-rejected (the NICs are provably idle
+//!   then), and replicas consume only budget left over after every
+//!   single-path admission — so the base trajectory of a RepFlow run is
+//!   **bit-identical** to the [`simulate_ecmp`] run of the same workload.
+//!   That gives the dominance property `tests/repflow_props.rs` pins:
+//!   every flow's RepFlow FCT is ≤ its single-path FCT, with equality on
+//!   one-plane topologies.
 //!
 //! Byte accounting for the race is exact ([`RepFlowStats`]): every copy's
 //! transmitted bytes ride the same epoch-anchored arithmetic as the base
@@ -30,21 +36,15 @@
 //! after losing — the engine cancels lazily, a conservative model of
 //! RepFlow's transport-level cutoff) are tallied to the last byte.
 
-use crate::engine::{
-    validate_arrival, CalendarLookup, CompletionLookup, FabricError, FabricRun, FlowMeta,
-    ScheduledEntry, SimConfig,
-};
+use crate::delta::CoreBudgets;
+use crate::engine::{feed, FabricError, FabricRun, FlowMeta, SimConfig};
+use crate::online::OnlineFabric;
+use crate::settle::{completion_instant, drain_target};
 use crate::topology::Topology;
-use basrpt_core::{FlowState, FlowTable, RepFlow, Scheduler};
-use dcn_metrics::{FctRecorder, SizeBucketRecorder, ThroughputMeter};
-use dcn_probe::{
-    ArrivalEvent, BacklogSampler, CompletionEvent, DecisionEvent, DrainEvent, Fanout, NoProbe,
-    Probe, SampleEvent,
-};
-use dcn_types::{Bytes, FlowId, PlaneId, Rate, SimTime, Voq};
+use basrpt_core::{RepFlow, Scheduler};
+use dcn_probe::{NoProbe, Probe};
+use dcn_types::{Bytes, FastMap, FlowId, PlaneId, Rate, SimTime, Voq};
 use dcn_workload::FlowArrival;
-use std::collections::HashMap;
-use std::time::Instant;
 
 /// The plane an inter-rack flow is hashed onto: FNV-1a over the flow id,
 /// modulo the plane count — the deterministic stand-in for ECMP's
@@ -74,64 +74,17 @@ pub fn plane_of(flow: FlowId, planes: u32) -> PlaneId {
     PlaneId::new((h % u64::from(planes)) as u32)
 }
 
-/// Per-(rack, plane) uplink/downlink budgets for one scheduling decision.
-struct PlaneBudgets {
-    edge: f64,
-    /// Budget of one plane: `rack_uplink_capacity / planes`.
-    plane_cap: f64,
-    planes: usize,
-    up_used: Vec<f64>,
-    down_used: Vec<f64>,
-}
-
-impl PlaneBudgets {
-    fn new<T: Topology + ?Sized>(topo: &T) -> Self {
-        let planes = topo.core_planes().max(1) as usize;
-        let racks = topo.num_racks() as usize;
-        PlaneBudgets {
-            edge: topo.edge_rate().bytes_per_sec(),
-            plane_cap: topo.rack_uplink_capacity().bytes_per_sec() / planes as f64,
-            planes,
-            up_used: vec![0.0; racks * planes],
-            down_used: vec![0.0; racks * planes],
-        }
-    }
-
-    fn reset(&mut self) {
-        self.up_used.fill(0.0);
-        self.down_used.fill(0.0);
-    }
-
-    /// Admits one flow onto `plane` if both its rack budgets have room
-    /// (same tolerance as the aggregate core filter); charges them on
-    /// success.
-    fn admit(&mut self, src_rack: usize, dst_rack: usize, plane: PlaneId) -> bool {
-        let up = src_rack * self.planes + plane.as_usize();
-        let down = dst_rack * self.planes + plane.as_usize();
-        // Tolerance absorbs f64 accumulation when the budget divides evenly.
-        if self.up_used[up] + self.edge <= self.plane_cap * (1.0 + 1e-9)
-            && self.down_used[down] + self.edge <= self.plane_cap * (1.0 + 1e-9)
-        {
-            self.up_used[up] += self.edge;
-            self.down_used[down] += self.edge;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// One copy of a replicated flow on an alternate plane, with the same
-/// epoch-anchored drain arithmetic as a `ScheduledEntry`.
+/// One copy of a replicated flow on an alternate plane. While selected
+/// it drains in an epoch with the shared settlement arithmetic of every
+/// scheduled flow ([`completion_instant`], [`drain_target`]).
 #[derive(Debug, Clone, Copy)]
 struct ReplicaCopy {
     plane: PlaneId,
-    /// Bytes this copy has transmitted (settled across all its epochs).
+    /// Bytes this copy has transmitted in its closed epochs.
     sent: u64,
-    active: bool,
-    epoch: SimTime,
-    epoch_start_sent: u64,
-    completes_at: SimTime,
+    /// The open epoch while the copy transmits: its start and its
+    /// analytic completion instant.
+    epoch: Option<(SimTime, SimTime)>,
 }
 
 impl ReplicaCopy {
@@ -139,10 +92,7 @@ impl ReplicaCopy {
         ReplicaCopy {
             plane,
             sent: 0,
-            active: false,
-            epoch: SimTime::ZERO,
-            epoch_start_sent: 0,
-            completes_at: SimTime::INFINITY,
+            epoch: None,
         }
     }
 
@@ -150,48 +100,228 @@ impl ReplicaCopy {
     /// the copy is already transmitting (its completion instant must not
     /// drift across reschedules that keep it selected).
     fn select(&mut self, now: SimTime, size: u64, rate: Rate) {
-        if self.active {
-            return;
+        if self.epoch.is_none() {
+            self.epoch = Some((now, completion_instant(now, size - self.sent, rate)));
         }
-        self.active = true;
-        self.epoch = now;
-        self.epoch_start_sent = self.sent;
-        self.completes_at = now + rate.transfer_time(Bytes::new(size - self.sent));
     }
 
     /// Settles the copy's account at instant `t` and closes its epoch.
     fn deselect(&mut self, t: SimTime, size: u64, rate: Rate) {
-        if !self.active {
-            return;
+        if let Some((epoch, completes_at)) = self.epoch.take() {
+            self.sent += drain_target(epoch, completes_at, size - self.sent, rate, t);
         }
-        self.sent = self.epoch_start_sent + self.target_at(t, size, rate);
-        self.active = false;
-        self.completes_at = SimTime::INFINITY;
     }
 
-    /// Bytes owed since the epoch by instant `t` — the `ScheduledEntry`
-    /// arithmetic: one conversion of the elapsed time, forced exact at the
-    /// analytic completion instant.
-    fn target_at(&self, t: SimTime, size: u64, rate: Rate) -> u64 {
-        let epoch_remaining = size - self.epoch_start_sent;
-        if t >= self.completes_at {
-            epoch_remaining
-        } else {
-            rate.bytes_in(t - self.epoch).as_u64().min(epoch_remaining)
-        }
+    /// When the copy finishes if it keeps transmitting; `None` when idle.
+    fn completes_at(&self) -> Option<SimTime> {
+        self.epoch.map(|(_, at)| at)
     }
 }
 
-/// The replication race of one short inter-rack flow.
+/// The replication race of one short inter-rack flow. It stays open
+/// until a replica wins or the primary completes.
 #[derive(Debug)]
 struct RaceState {
     size: u64,
-    primary_plane: PlaneId,
+    /// One copy per alternate plane, in ascending plane order.
     copies: Vec<ReplicaCopy>,
     /// `Some((plane, instant))` once a replica finished first.
     replica_won: Option<(PlaneId, SimTime)>,
-    /// The race is over: a replica won, or the primary completed.
-    closed: bool,
+    /// The plane the current decision's replica pass picked.
+    pick: Option<PlaneId>,
+}
+
+/// The replication races of one RepFlow run: the crate-private layer an
+/// [`OnlineFabric`] carries only when [`simulate_repflow`] builds it. The
+/// engine calls it at five sites of its event loop:
+/// [`resolve_wins`](Races::resolve_wins) at the start of every event,
+/// [`open`](Races::open) on admission, [`replicate`](Races::replicate)
+/// after the core filter, [`on_drain`](Races::on_drain) and
+/// [`on_completion`](Races::on_completion) for every settled drain, and
+/// [`finish`](Races::finish) once the horizon is reached.
+///
+/// The same code is exact under lazy settlement. A copy transmits only
+/// while its primary is plane-rejected, and the decision that rejected the
+/// primary evicted — and so settled — it. Every primary drain settled
+/// after a win therefore belongs to an epoch that opened after the win,
+/// and wins resolve at the same event instants in both settle modes.
+#[derive(Debug)]
+pub(crate) struct Races {
+    threshold: u64,
+    planes: u32,
+    rate: Rate,
+    /// The race of every active replicated flow, including those a
+    /// replica already won, until the primary completes.
+    races: FastMap<FlowId, RaceState>,
+    stats: RepFlowStats,
+    completions: Vec<RepFlowCompletion>,
+}
+
+impl Races {
+    /// No races yet: flows shorter than `threshold` bytes will race
+    /// copies over the other `planes - 1` planes at `rate`.
+    pub(crate) fn new(threshold: u64, planes: u32, rate: Rate) -> Self {
+        Races {
+            threshold,
+            planes,
+            rate,
+            races: FastMap::default(),
+            stats: RepFlowStats::default(),
+            completions: Vec::new(),
+        }
+    }
+
+    /// Resolves every replica win at or before `t`. Copy completion
+    /// instants are analytic, so wins are taken lazily at the next event;
+    /// a win cannot change the base trajectory, and races never interact,
+    /// so they resolve in any order.
+    pub(crate) fn resolve_wins(&mut self, t: SimTime) {
+        for race in self.races.values_mut() {
+            if race.replica_won.is_some() {
+                continue;
+            }
+            let first = race
+                .copies
+                .iter()
+                .filter_map(ReplicaCopy::completes_at)
+                .min();
+            let Some(w) = first.filter(|&w| w <= t) else {
+                continue;
+            };
+            // Lowest plane wins ties (copies are in ascending plane order).
+            let winner = race.copies.iter().find(|c| c.completes_at() == Some(w));
+            let winner = winner.expect("a copy completed").plane;
+            for copy in &mut race.copies {
+                // Freeze the race at the win instant: siblings keep only
+                // the bytes they moved before w.
+                copy.deselect(w, race.size, self.rate);
+            }
+            race.replica_won = Some((winner, w));
+            self.stats.replica_wins += 1;
+        }
+    }
+
+    /// Opens a race for a newly admitted flow if it is short and
+    /// `crosses_core` (inter-rack under an enforced core) on a fabric with
+    /// alternate planes.
+    pub(crate) fn open(&mut self, id: FlowId, size: Bytes, crosses_core: bool) {
+        if !crosses_core || self.planes < 2 || size.as_u64() >= self.threshold {
+            return;
+        }
+        let primary = plane_of(id, self.planes);
+        let copies = (0..self.planes)
+            .map(PlaneId::new)
+            .filter(|&p| p != primary)
+            .map(ReplicaCopy::idle)
+            .collect();
+        let race = RaceState {
+            size: size.as_u64(),
+            copies,
+            replica_won: None,
+            pick: None,
+        };
+        self.races.insert(id, race);
+        self.stats.replicated_flows += 1;
+    }
+
+    /// The replica pass of a decision, run after the core filter charged
+    /// every single-path admission. Each plane-rejected flow with an open
+    /// race may ride the residual budget of an alternate plane (its NICs
+    /// are idle — the matching reserved them and the plane filter
+    /// declined), in priority order so replica-replica contention is
+    /// deterministic. The picked copies then (re)open epochs at `now` and
+    /// every other copy settles and closes its epoch.
+    pub(crate) fn replicate<T: Topology + ?Sized>(
+        &mut self,
+        topo: &T,
+        budgets: &mut CoreBudgets,
+        now: SimTime,
+    ) {
+        let rejected = std::mem::take(&mut budgets.rejected);
+        for &(id, voq) in &rejected {
+            if let Some(race) = self.races.get_mut(&id) {
+                if race.replica_won.is_none() {
+                    let racks = (topo.rack_of(voq.src()), topo.rack_of(voq.dst()));
+                    let mut planes = race.copies.iter().map(|c| c.plane);
+                    race.pick = planes.find(|&p| budgets.admit(racks, p));
+                }
+            }
+        }
+        budgets.rejected = rejected;
+        for race in self.races.values_mut() {
+            if race.replica_won.is_some() {
+                continue;
+            }
+            let pick = race.pick.take();
+            for copy in &mut race.copies {
+                if pick == Some(copy.plane) {
+                    copy.select(now, race.size, self.rate);
+                } else {
+                    copy.deselect(now, race.size, self.rate);
+                }
+            }
+        }
+    }
+
+    /// Tallies one settled primary drain: everything a primary moves after
+    /// a replica won its race is cancelled work.
+    pub(crate) fn on_drain(&mut self, id: FlowId, amount: u64) {
+        if self.races.get(&id).is_some_and(|r| r.replica_won.is_some()) {
+            self.stats.cancelled_primary_bytes += Bytes::new(amount);
+        }
+    }
+
+    /// Closes the race of a primary that completed at `t`, logs the
+    /// completion and returns the FCT to record: the first copy's.
+    pub(crate) fn on_completion(
+        &mut self,
+        flow: FlowId,
+        voq: Voq,
+        info: FlowMeta,
+        t: SimTime,
+        base_latency: SimTime,
+    ) -> SimTime {
+        let base_fct = t - info.arrival + base_latency;
+        let mut fct = base_fct;
+        let mut winner = None;
+        let race = self.races.remove(&flow);
+        let replicated = race.is_some();
+        if let Some(mut race) = race {
+            if let Some((plane, w)) = race.replica_won {
+                fct = w - info.arrival + base_latency;
+                winner = Some(plane);
+            }
+            // The race is over: a primary that finished first cancels the
+            // copies' bytes.
+            retire_race(&mut race, t, self.rate, true, &mut self.stats);
+        }
+        self.completions.push(RepFlowCompletion {
+            flow,
+            voq,
+            size: info.size,
+            replicated,
+            fct,
+            base_fct,
+            winner,
+        });
+        fct
+    }
+
+    /// Retires the races still open at the horizon of `run` — every copy
+    /// settles there and its bytes count as racing, or as lost when a
+    /// replica won but the primary never finished draining — and
+    /// completes the RepFlow measurements.
+    pub(crate) fn finish(mut self, run: FabricRun) -> RepFlowRun {
+        for race in self.races.values_mut() {
+            let over = race.replica_won.is_some();
+            retire_race(race, run.horizon, self.rate, over, &mut self.stats);
+        }
+        RepFlowRun {
+            run,
+            completions: self.completions,
+            stats: self.stats,
+        }
+    }
 }
 
 /// One completed flow of a RepFlow (or ECMP) run, with both race
@@ -263,11 +393,12 @@ pub struct RepFlowRun {
     pub stats: RepFlowStats,
 }
 
-/// Runs one single-path (ECMP-hashed) simulation: like [`crate::simulate`]
-/// but the core filter is enforced **per plane** — each inter-rack flow
-/// rides only its [`plane_of`] plane, which carries `1/planes` of the
-/// rack uplink budget. On a one-plane topology this is bit-identical to
-/// [`crate::simulate`] with the aggregate filter.
+/// Runs one single-path (ECMP-hashed) simulation: [`crate::simulate`] on
+/// the same engine (delta allocator, completion calendar, lazy
+/// settlement), but with the core filter enforced **per plane** — each
+/// inter-rack flow rides only its [`plane_of`] plane, which carries
+/// `1/planes` of the rack uplink budget. On a one-plane topology this is
+/// bit-identical to [`crate::simulate`] with the aggregate filter.
 ///
 /// This is the single-path baseline RepFlow is measured against; the
 /// plane filter only matters when core capacity is enforced
@@ -300,13 +431,17 @@ pub fn simulate_ecmp_probed<T: Topology + ?Sized, S: Scheduler + ?Sized, P: Prob
     config: SimConfig,
     probe: P,
 ) -> Result<FabricRun, FabricError> {
-    run_repflow_loop(topo, scheduler, None, generator, config, probe).map(|r| r.run)
+    let online = OnlineFabric::multi_plane(topo, scheduler, config, probe, None);
+    feed(online, generator)?.finish()
 }
 
-/// Runs one RepFlow simulation: single-path ECMP routing plus replication
-/// of short flows (shorter than the [`RepFlow`] discipline's threshold)
-/// onto alternate core planes with first-copy-completes semantics — see
-/// the module docs for the model and its dominance guarantee.
+/// Runs one RepFlow simulation: the [`simulate_ecmp`] engine plus
+/// replication of short flows (shorter than the [`RepFlow`] discipline's
+/// threshold) onto alternate core planes with first-copy-completes
+/// semantics. A replica rides only budget left over after every
+/// single-path admission, so the base run is bit-identical to the
+/// [`simulate_ecmp`] run of the same workload and every flow's recorded
+/// FCT is at most its single-path FCT.
 ///
 /// # Errors
 ///
@@ -359,409 +494,31 @@ pub fn simulate_repflow_probed<T: Topology + ?Sized, P: Probe>(
     config: SimConfig,
     probe: P,
 ) -> Result<RepFlowRun, FabricError> {
-    let threshold = discipline.threshold();
-    run_repflow_loop(topo, discipline, Some(threshold), generator, config, probe)
-}
-
-/// The plane-aware event loop behind [`simulate_ecmp`] and
-/// [`simulate_repflow`]: the matching engine's loop (same event ordering,
-/// same epoch accounting) with the per-plane core filter, plus — when
-/// `replicate` carries a threshold — the replica layer described in the
-/// module docs. Replicas never influence base admissions, so the
-/// `replicate: None` and `replicate: Some(_)` base trajectories are
-/// bit-identical.
-#[allow(clippy::too_many_lines)]
-fn run_repflow_loop<T, S, P>(
-    topo: &T,
-    scheduler: &mut S,
-    replicate: Option<u64>,
-    generator: impl IntoIterator<Item = FlowArrival>,
-    config: SimConfig,
-    probe: P,
-) -> Result<RepFlowRun, FabricError>
-where
-    T: Topology + ?Sized,
-    S: Scheduler + ?Sized,
-    P: Probe,
-{
-    let mut generator = generator.into_iter();
-    let edge_rate = topo.edge_rate();
-    let enforce_core = config.enforce_core_capacity || !topo.is_full_bisection();
     let planes = topo.core_planes().max(1);
-    let mut budgets = PlaneBudgets::new(topo);
-    let mut lookup = CalendarLookup::default();
-
-    let mut table = FlowTable::new();
-    let mut meta: HashMap<FlowId, FlowMeta> = HashMap::new();
-    let mut entries: Vec<ScheduledEntry> = Vec::new();
-    let mut carry: HashMap<FlowId, ScheduledEntry> = HashMap::new();
-
-    // Replication races, keyed by flow. Empty for ECMP runs.
-    let mut races: HashMap<FlowId, RaceState> = HashMap::new();
-    let mut stats = RepFlowStats::default();
-    let mut completions_log: Vec<RepFlowCompletion> = Vec::new();
-
-    let mut fct = FctRecorder::new();
-    let mut fct_by_size = SizeBucketRecorder::pfabric_buckets();
-    let mut throughput = ThroughputMeter::new();
-    let mut sampler = BacklogSampler::new(config.monitored_port);
-    let mut fan = Fanout::new(&mut sampler, probe);
-    let mut arrivals_count = 0usize;
-    let mut completions_count = 0usize;
-    let mut arrived_bytes = Bytes::ZERO;
-    let mut reschedules = 0u64;
-
-    let mut clock = SimTime::ZERO;
-    let mut next_sample = SimTime::ZERO;
-    let mut next_arrival = generator.next();
-    let mut last_arrival_time = SimTime::ZERO;
-
-    loop {
-        let t_arrival = next_arrival.as_ref().map_or(SimTime::INFINITY, |a| a.time);
-        let t_completion = lookup.next_completion(&entries);
-        let t = t_arrival
-            .min(t_completion)
-            .min(next_sample)
-            .min(config.horizon);
-
-        // --- resolve replica wins up to t (their completion instants are
-        //     analytic, so they are processed lazily at the next event;
-        //     the win cannot change the base trajectory) ---
-        let mut wins: Vec<(SimTime, FlowId)> = Vec::new();
-        for (&id, race) in races.iter() {
-            if race.closed {
-                continue;
-            }
-            if let Some(w) = race
-                .copies
-                .iter()
-                .filter(|c| c.active)
-                .map(|c| c.completes_at)
-                .min()
-            {
-                if w <= t {
-                    wins.push((w, id));
-                }
-            }
-        }
-        wins.sort_unstable_by(|a, b| a.0.as_secs().total_cmp(&b.0.as_secs()).then(a.1.cmp(&b.1)));
-        for (w, id) in wins {
-            let race = races.get_mut(&id).expect("race exists");
-            let size = race.size;
-            // Lowest plane wins ties (copies are in ascending plane order).
-            let winner = race
-                .copies
-                .iter()
-                .filter(|c| c.active && c.completes_at <= w)
-                .map(|c| c.plane)
-                .next()
-                .expect("a copy completed");
-            for copy in &mut race.copies {
-                // Freeze the race at the win instant: siblings keep only
-                // the bytes they moved before w.
-                copy.deselect(w, size, edge_rate);
-            }
-            race.replica_won = Some((winner, w));
-            race.closed = true;
-            stats.replica_wins += 1;
-        }
-
-        // --- advance: settle every scheduled flow's account at t ---
-        let elapsed = t - clock;
-        let mut completed_any = false;
-        if elapsed > SimTime::ZERO {
-            let mut i = 0;
-            while i < entries.len() {
-                let entry = &mut entries[i];
-                let target = entry.target_at(t, edge_rate);
-                let amount = target - entry.settled;
-                if amount == 0 {
-                    i += 1;
-                    continue;
-                }
-                entry.settled = target;
-                let (id, voq) = (entry.flow, entry.voq);
-                let outcome = table.drain(id, amount).expect("scheduled flow is active");
-                debug_assert_eq!(outcome.drained, amount, "exact drain cannot be short");
-                throughput.deliver(Bytes::new(outcome.drained));
-                // Everything the primary moves after losing its race is
-                // cancelled work (the primary is never scheduled while a
-                // replica transmits, so these drains all postdate the win).
-                if races.get(&id).is_some_and(|r| r.replica_won.is_some()) {
-                    stats.cancelled_primary_bytes += Bytes::new(outcome.drained);
-                }
-                fan.on_drain(&DrainEvent {
-                    time: t.as_secs(),
-                    flow: id,
-                    voq,
-                    amount: outcome.drained,
-                });
-                if outcome.completed.is_some() {
-                    let info = meta.remove(&id).expect("active flow has metadata");
-                    let base_fct = t - info.arrival + config.base_latency;
-                    // First copy to finish sets the recorded FCT.
-                    let (flow_fct, replicated, winner) = match races.remove(&id) {
-                        Some(mut race) => {
-                            let outcome = if let Some((plane, w)) = race.replica_won {
-                                (w - info.arrival + config.base_latency, true, Some(plane))
-                            } else {
-                                // The primary finished first: the race is
-                                // over and the copies' bytes are cancelled.
-                                for copy in &mut race.copies {
-                                    copy.deselect(t, race.size, edge_rate);
-                                }
-                                race.closed = true;
-                                (base_fct, true, None)
-                            };
-                            retire_race(&race, &mut stats);
-                            outcome
-                        }
-                        None => (base_fct, false, None),
-                    };
-                    fct.record(info.class, info.size, flow_fct);
-                    fct_by_size.record(info.size, flow_fct);
-                    completions_log.push(RepFlowCompletion {
-                        flow: id,
-                        voq,
-                        size: info.size,
-                        replicated,
-                        fct: flow_fct,
-                        base_fct,
-                        winner,
-                    });
-                    fan.on_completion(&CompletionEvent {
-                        time: t.as_secs(),
-                        flow: id,
-                        voq,
-                        size: info.size.as_u64(),
-                        fct: flow_fct.as_secs(),
-                    });
-                    completions_count += 1;
-                    completed_any = true;
-                    entries.remove(i);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        clock = t;
-
-        if clock >= config.horizon {
-            break;
-        }
-
-        // --- arrivals landing at (or before) the current instant ---
-        let mut arrived_any = false;
-        while let Some(arrival) = next_arrival.as_ref() {
-            if arrival.time > clock {
-                break;
-            }
-            let arrival = *next_arrival.as_ref().expect("checked above");
-            validate_arrival(topo, &arrival, last_arrival_time)?;
-            last_arrival_time = arrival.time;
-            table
-                .insert(FlowState::new(
-                    arrival.id,
-                    arrival.voq,
-                    arrival.size.as_u64(),
-                ))
-                .map_err(|e| FabricError::BadArrival(e.to_string()))?;
-            meta.insert(
-                arrival.id,
-                FlowMeta {
-                    class: arrival.class,
-                    size: arrival.size,
-                    arrival: arrival.time,
-                },
-            );
-            // Open a replication race for short inter-rack flows when the
-            // fabric has alternate planes and an enforced core.
-            if let Some(threshold) = replicate {
-                if enforce_core
-                    && planes >= 2
-                    && arrival.size.as_u64() < threshold
-                    && !topo.is_intra_rack(arrival.voq)
-                {
-                    let primary = plane_of(arrival.id, planes);
-                    let copies = (0..planes)
-                        .map(PlaneId::new)
-                        .filter(|&p| p != primary)
-                        .map(ReplicaCopy::idle)
-                        .collect();
-                    races.insert(
-                        arrival.id,
-                        RaceState {
-                            size: arrival.size.as_u64(),
-                            primary_plane: primary,
-                            copies,
-                            replica_won: None,
-                            closed: false,
-                        },
-                    );
-                    stats.replicated_flows += 1;
-                }
-            }
-            arrivals_count += 1;
-            arrived_bytes += arrival.size;
-            arrived_any = true;
-            fan.on_arrival(&ArrivalEvent {
-                time: arrival.time.as_secs(),
-                flow: arrival.id,
-                voq: arrival.voq,
-                size: arrival.size.as_u64(),
-            });
-            next_arrival = generator.next();
-        }
-
-        // --- sampling (after same-instant arrivals) ---
-        if next_sample <= clock {
-            fan.on_sample(&SampleEvent {
-                time: clock.as_secs(),
-                table: &table,
-                delivered: throughput.delivered().as_f64(),
-            });
-            next_sample += config.sample_every;
-        }
-
-        // --- reschedule on arrival or completion ---
-        if arrived_any || completed_any {
-            let started = fan.wants_decision_timing().then(Instant::now);
-            let schedule = scheduler.schedule(&table);
-            let latency = started.map(|s| s.elapsed());
-            fan.on_decision(&DecisionEvent {
-                time: clock.as_secs(),
-                schedule: &schedule,
-                latency,
-            });
-            carry.clear();
-            carry.extend(entries.drain(..).map(|e| (e.flow, e)));
-            let admit = |id: FlowId,
-                         voq: Voq,
-                         entries: &mut Vec<ScheduledEntry>,
-                         table: &FlowTable,
-                         carry: &mut HashMap<FlowId, ScheduledEntry>| {
-                entries.push(carry.remove(&id).unwrap_or_else(|| {
-                    let remaining = table.get(id).expect("scheduled flow is active").remaining();
-                    ScheduledEntry::new(id, voq, clock, remaining, edge_rate)
-                }));
-            };
-            // Pass 1 — base admissions on each flow's own plane, in
-            // schedule priority order (identical for ECMP and RepFlow).
-            let mut rejected: Vec<(FlowId, Voq)> = Vec::new();
-            if enforce_core {
-                budgets.reset();
-                for (id, voq) in schedule.iter() {
-                    if topo.is_intra_rack(voq) {
-                        admit(id, voq, &mut entries, &table, &mut carry);
-                        continue;
-                    }
-                    let src_rack = topo.rack_of(voq.src()).as_usize();
-                    let dst_rack = topo.rack_of(voq.dst()).as_usize();
-                    if budgets.admit(src_rack, dst_rack, plane_of(id, planes)) {
-                        admit(id, voq, &mut entries, &table, &mut carry);
-                    } else {
-                        rejected.push((id, voq));
-                    }
-                }
-            } else {
-                for (id, voq) in schedule.iter() {
-                    admit(id, voq, &mut entries, &table, &mut carry);
-                }
-            }
-            // Pass 2 — replicas: a matched-but-rejected short flow may
-            // ride the residual budget of an alternate plane (its NICs
-            // are idle — the matching reserved them and the plane filter
-            // declined). Priority order again, so replica-replica
-            // contention is deterministic.
-            let mut selected: HashMap<FlowId, PlaneId> = HashMap::new();
-            for &(id, voq) in &rejected {
-                let Some(race) = races.get(&id) else { continue };
-                if race.closed {
-                    continue;
-                }
-                let src_rack = topo.rack_of(voq.src()).as_usize();
-                let dst_rack = topo.rack_of(voq.dst()).as_usize();
-                for copy in &race.copies {
-                    if budgets.admit(src_rack, dst_rack, copy.plane) {
-                        selected.insert(id, copy.plane);
-                        break;
-                    }
-                }
-            }
-            // Apply the replica selection: open epochs for the selected
-            // copies, settle-and-close everyone else's.
-            for (&id, race) in races.iter_mut() {
-                if race.closed {
-                    continue;
-                }
-                let want = selected.get(&id).copied();
-                let size = race.size;
-                for copy in &mut race.copies {
-                    if want == Some(copy.plane) {
-                        copy.select(clock, size, edge_rate);
-                    } else {
-                        copy.deselect(clock, size, edge_rate);
-                    }
-                }
-            }
-            reschedules += 1;
-            lookup.on_reschedule(&entries);
-        }
-    }
-    drop(fan);
-    let series = sampler.into_series();
-
-    // Races still on the books at the horizon: settle every copy and
-    // tally its bytes as racing (open races) or won/lost (a replica won
-    // but the primary never finished draining).
-    for (_, mut race) in races.drain() {
-        let size = race.size;
-        for copy in &mut race.copies {
-            copy.deselect(config.horizon, size, edge_rate);
-        }
-        retire_race(&race, &mut stats);
-    }
-
-    let run = FabricRun {
-        fct,
-        fct_by_size,
-        throughput,
-        total_backlog: series.total_backlog,
-        monitored_port_backlog: series.monitored_port_backlog,
-        max_port_backlog: series.max_port_backlog,
-        cumulative_delivered: series.cumulative_delivered,
-        arrivals: arrivals_count,
-        completions: completions_count,
-        arrived_bytes,
-        leftover_bytes: Bytes::new(table.total_backlog()),
-        leftover_flows: table.len(),
-        reschedules,
-        horizon: config.horizon,
-    };
-    Ok(RepFlowRun {
-        run,
-        completions: completions_log,
-        stats,
-    })
+    let races = Races::new(discipline.threshold(), planes, topo.edge_rate());
+    let online = OnlineFabric::multi_plane(topo, discipline, config, probe, Some(races));
+    let (run, races) = feed(online, generator)?.finish_with_races()?;
+    Ok(races.expect("built with races").finish(run))
 }
 
-/// Tallies the exact byte account of one finished (or horizon-cut) race.
-fn retire_race(race: &RaceState, stats: &mut RepFlowStats) {
-    for copy in &race.copies {
+/// Settles every copy of a race at `t` and tallies its exact byte
+/// account: the winner's bytes, then every other copy's as lost once the
+/// race is `over` (a replica won or the primary completed) and as racing
+/// otherwise. The primary's own bytes live in the base run's throughput;
+/// only its post-win drains are tallied (`cancelled_primary_bytes`).
+fn retire_race(race: &mut RaceState, t: SimTime, rate: Rate, over: bool, stats: &mut RepFlowStats) {
+    for copy in &mut race.copies {
+        copy.deselect(t, race.size, rate);
         stats.replica_bytes += Bytes::new(copy.sent);
         match race.replica_won {
             Some((plane, _)) if plane == copy.plane => {
                 debug_assert_eq!(copy.sent, race.size, "the winner moved the whole flow");
                 stats.winning_replica_bytes += Bytes::new(copy.sent);
             }
-            _ if race.closed => stats.losing_replica_bytes += Bytes::new(copy.sent),
+            _ if over => stats.losing_replica_bytes += Bytes::new(copy.sent),
             _ => stats.racing_replica_bytes += Bytes::new(copy.sent),
         }
     }
-    // The primary plane is part of the race but its bytes live in the
-    // base run's throughput; only its post-win drains are tallied (see
-    // `cancelled_primary_bytes`), so nothing to do here for it.
-    let _ = race.primary_plane;
 }
 
 #[cfg(test)]

@@ -13,8 +13,9 @@
 //!
 //! The two helpers here, [`completion_instant`] and [`drain_target`],
 //! are that arithmetic, shared by the matching engine's scheduled
-//! entries (`dcn-fabric`'s delta allocator) and the fair-share engine's
-//! rate entries, so the two accounting paths cannot drift apart.
+//! entries (`dcn-fabric`'s delta allocator), RepFlow's replica copies and
+//! the fair-share engine's rate entries, so the accounting paths cannot
+//! drift apart.
 //!
 //! [`SettleMode`] is the policy layer: *when* the engine converts
 //! scheduled time into table bytes. Eager settlement converts on every

@@ -34,7 +34,8 @@
 //! `O((P/S)² log (P/S))` against the global `O(P² log P)`, which is where
 //! the sharded speedup comes from; see `PERFMODEL.md`).
 
-use crate::engine::{run_with_probe, FabricError, FabricRun, SimConfig};
+use crate::engine::{feed, FabricError, FabricRun, SimConfig};
+use crate::online::OnlineFabric;
 use crate::topology::Topology;
 use basrpt_core::MakeScheduler;
 use dcn_metrics::{FctRecorder, SizeBucketRecorder, ThroughputMeter, TimeSeries};
@@ -280,7 +281,9 @@ where
 {
     run_partitioned(topo, arrivals, config, shards, |bin_arrivals| {
         let mut probe = CompletionLogProbe::default();
-        let run = run_with_probe(topo, &mut factory.make(), bin_arrivals, config, &mut probe)?;
+        let mut scheduler = factory.make();
+        let online = OnlineFabric::with_probe(topo, &mut scheduler, config, &mut probe);
+        let run = feed(online, bin_arrivals)?.finish()?;
         Ok((run, probe))
     })
 }
