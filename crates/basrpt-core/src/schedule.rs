@@ -76,6 +76,17 @@ impl Schedule {
         Schedule::default()
     }
 
+    /// Creates an empty schedule with room for `flows` selections and
+    /// port sets sized for ports `0..num_ports`, so a greedy pass that
+    /// stays within those bounds never regrows them.
+    pub(crate) fn with_capacity(flows: usize, num_ports: u32) -> Self {
+        Schedule {
+            selected: Vec::with_capacity(flows),
+            busy_ingress: PortSet::with_ports(num_ports),
+            busy_egress: PortSet::with_ports(num_ports),
+        }
+    }
+
     /// Number of selected flows.
     pub fn len(&self) -> usize {
         self.selected.len()

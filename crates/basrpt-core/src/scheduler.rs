@@ -391,6 +391,9 @@ pub(crate) struct RankHint {
     rank: Vec<u32>,
     /// Number of candidates the last decision ranked.
     ranked: usize,
+    /// Number of flows the last decision selected: the next schedule's
+    /// initial capacity.
+    selected: usize,
     /// This decision's candidates: a scatter buffer indexed by previous
     /// rank, followed by the candidates with no free previous rank (new
     /// VOQs and collisions); then compacted and ranked in place.
@@ -416,10 +419,13 @@ impl RankHint {
         self.rank.resize(table.voq_slot_count(), NO_RANK);
         self.order.clear();
         self.order.resize(self.ranked, Ranked::VACANT);
+        let mut num_ports = 0;
         for (slot, mut view) in table.voqs_with_slots() {
             adjust.adjust(&mut view);
             let cand = to_candidate(&view);
             debug_assert!(cand.key.is_finite(), "candidate keys must be finite");
+            let top = cand.voq.src().index().max(cand.voq.dst().index());
+            num_ports = num_ports.max(top.saturating_add(1));
             let item = Ranked { cand, slot };
             match self.order[..self.ranked].get_mut(self.rank[slot as usize] as usize) {
                 Some(free) if free.slot == NO_RANK => *free = item,
@@ -436,7 +442,7 @@ impl RankHint {
             }
         }
 
-        let mut schedule = Schedule::new();
+        let mut schedule = Schedule::with_capacity(self.selected, num_ports);
         for (rank, item) in self.order.iter().enumerate() {
             self.rank[item.slot as usize] = rank as u32;
             if schedule.admits(item.cand.voq) {
@@ -445,6 +451,7 @@ impl RankHint {
                     .expect("admits() checked both ports");
             }
         }
+        self.selected = schedule.len();
         schedule
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::scheduler::RankHint;
 use crate::FlowState;
-use dcn_types::{FlowId, HostId, Voq};
+use dcn_types::{FastMap, FlowId, HostId, Voq};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
@@ -358,12 +358,12 @@ pub struct FlowTable {
     flows: Vec<Option<FlowEntry>>,
     free: Vec<u32>,
     /// FlowId → slab slot.
-    flow_slots: HashMap<FlowId, u32>,
+    flow_slots: FastMap<FlowId, u32>,
     /// Per-VOQ champion index; slots persist for the table's lifetime so a
     /// VOQ keeps its dense index across empty/non-empty transitions.
     voq_slots: Vec<VoqSlot>,
     /// Voq → slot in `voq_slots`.
-    voq_lookup: HashMap<Voq, u32>,
+    voq_lookup: FastMap<Voq, u32>,
     /// Non-empty VOQs in lexicographic order, mutated only on emptiness
     /// transitions — this pins the deterministic [`FlowTable::voqs`] order.
     nonempty: BTreeMap<Voq, u32>,
@@ -400,9 +400,9 @@ impl Default for FlowTable {
         FlowTable {
             flows: Vec::new(),
             free: Vec::new(),
-            flow_slots: HashMap::new(),
+            flow_slots: FastMap::default(),
             voq_slots: Vec::new(),
-            voq_lookup: HashMap::new(),
+            voq_lookup: FastMap::default(),
             nonempty: BTreeMap::new(),
             ingress: BTreeMap::new(),
             total_backlog: 0,

@@ -18,16 +18,21 @@
 //! All three matching rows run the one production engine, so their
 //! differences price the policies alone.
 //!
+//! A layer row prices the fair-share engine's dominant term on its own:
+//! `fairshare_allocate/<flows>` is one `FairShareAllocator::allocate`
+//! over the first 32, 128 or 512 arrivals of the same workload, all
+//! active at once on the same fabric with its rack constraints enforced.
+//!
 //! Medians land in `results/bench.json` via the merging recorder, so the
 //! relative cost of the baselines is tracked alongside the scale curves.
 
 use basrpt_core::{RepFlow, Srpt};
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use dcn_fabric::{
-    simulate, simulate_ecmp, simulate_fair_share, simulate_repflow, KAryFatTree, SimConfig,
-    Topology,
+    simulate, simulate_ecmp, simulate_fair_share, simulate_repflow, ConstraintSpec,
+    FairShareAllocator, KAryFatTree, SimConfig, Topology,
 };
-use dcn_types::SimTime;
+use dcn_types::{FlowId, SimTime, Voq};
 use dcn_workload::{FlowArrival, TrafficSpec};
 use std::time::Duration;
 
@@ -112,6 +117,26 @@ fn bench_baseline_disciplines(c: &mut Criterion) {
             })
         },
     );
+    // Ids ascend, as the allocator requires; the 2:1 fabric is not full
+    // bisection, so the engine would enforce its rack constraints too.
+    let mut alloc = FairShareAllocator::new(ConstraintSpec::new(&topo, true));
+    let mut rates = Vec::new();
+    for n in [32usize, 128, 512] {
+        let flows: Vec<(FlowId, Voq)> =
+            TrafficSpec::scaled(topo.num_racks(), topo.hosts_per_rack(), 0.8)
+                .expect("valid scaled spec")
+                .generator(11)
+                .expect("generator")
+                .take(n)
+                .enumerate()
+                .map(|(i, a)| (FlowId::new(i as u64), a.voq))
+                .collect();
+        group.bench_with_input(
+            BenchmarkId::new("fairshare_allocate", n),
+            &flows,
+            |b, flows| b.iter(|| alloc.allocate(flows, &mut rates)),
+        );
+    }
     group.finish();
 }
 

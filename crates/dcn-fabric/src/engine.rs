@@ -12,7 +12,7 @@ use dcn_probe::{
     ArrivalEvent, BacklogSampler, CompletionEvent, DecisionEvent, DrainEvent, Fanout, NoProbe,
     Probe, SampleEvent,
 };
-use dcn_types::{Bytes, FlowClass, FlowId, HostId, Rate, SimTime, Voq};
+use dcn_types::{Bytes, FastMap, FlowClass, FlowId, HostId, Rate, SimTime, Voq};
 use dcn_workload::FlowArrival;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -469,7 +469,7 @@ where
     let mut budgets = CoreBudgets::new(topo, 1);
 
     let mut table = FlowTable::new();
-    let mut meta: HashMap<FlowId, FlowMeta> = HashMap::new();
+    let mut meta: FastMap<FlowId, FlowMeta> = FastMap::default();
     // The scheduled set, in schedule-priority order, with per-entry drain
     // epochs (see `ScheduledEntry`).
     let mut entries: Vec<ScheduledEntry> = Vec::new();

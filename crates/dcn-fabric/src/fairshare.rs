@@ -22,21 +22,33 @@
 //!
 //! Two implementations compute it:
 //!
-//! * [`FairShareAllocator`] — the production allocator: per-flow
-//!   constraint lists built once per reschedule, a compacted live-flow
-//!   list, `O(C + live)` per round;
+//! * [`FairShareAllocator`] — the production allocator: an `O(n + C)`
+//!   setup (per-flow constraint lists, per-constraint member lists, every
+//!   constraint's level), then per round a compare-only pass over the
+//!   cached levels of the open constraints and work only for the flows
+//!   the round freezes and the constraints they touch;
 //! * [`crate::reference::simulate_fair_share_naive`] — a deliberately
 //!   naive reference that rescans **every flow for every constraint on
 //!   every round** (`O(n²)` per reschedule) with dumb data structures.
 //!
-//! Both follow the *same canonical arithmetic contract* — fill levels are
-//! computed as `(residual / unfrozen).max(0.0)`, residuals are decremented
-//! by the round's level once per frozen member in ascending flow-id order
-//! (source, destination, uplink, downlink constraint order within a flow)
-//! — so their outputs are **bit-identical**, which is what
-//! `tests/fairshare_differential.rs` pins across seeds × topologies ×
-//! shard counts, the same technique that pins the delta engine against
-//! the scan engine.
+//! Both follow the *same canonical arithmetic contract*, so their outputs
+//! are **bit-identical**:
+//!
+//! * a constraint's fill level is `(residual / unfrozen).max(0.0)` of its
+//!   current pair — the same pair gives the same bits whether the level
+//!   is recomputed or cached;
+//! * the round's level λ is the first smallest level in constraint-index
+//!   order (a `<` scan), and the round freezes every unfrozen member of a
+//!   constraint whose level has λ's exact bits, judged on the levels
+//!   before the round;
+//! * each constraint's residual drops by λ once per member frozen in the
+//!   round. That subtraction sequence is what is pinned: all of a round's
+//!   subtractions are of the same λ, so the order in which the round's
+//!   flows are met cannot change a residual.
+//!
+//! `tests/fairshare_differential.rs` pins the two engines against each
+//! other across seeds × topologies × shard counts, the same technique
+//! that pins the delta engine against the scan engine.
 //!
 //! # The event loop
 //!
@@ -50,6 +62,12 @@
 //! epoch and pay a [`CompletionCalendar`] edit — a flow whose fair share
 //! is unaffected keeps its epoch, so its completion instant (and every
 //! output bit) is invariant to unrelated churn.
+//!
+//! Between reallocations the loop keeps its active flows in a list
+//! ordered by id, inserting arrivals and removing completions in place, so
+//! a reallocation neither collects nor sorts the flow table. The previous
+//! entries, ordered the same way, are paired with the new rates in one
+//! merge pass, with no per-event map.
 //!
 //! The production loop also settles byte accounts **lazily** (see
 //! [`crate::settle`]): per event only the flows actually *due* drain into
@@ -68,9 +86,8 @@ use dcn_metrics::{FctRecorder, SizeBucketRecorder, ThroughputMeter};
 use dcn_probe::{
     ArrivalEvent, BacklogSampler, CompletionEvent, DrainEvent, Fanout, NoProbe, Probe, SampleEvent,
 };
-use dcn_types::{Bytes, FlowId, Rate, SimTime, Voq};
+use dcn_types::{Bytes, FastMap, FlowId, Rate, SimTime, Voq};
 use dcn_workload::FlowArrival;
-use std::collections::HashMap;
 
 /// The capacity-constraint system of one topology, shared by the
 /// production and reference water-fillers so both see the identical
@@ -156,10 +173,21 @@ impl ConstraintSpec {
 /// The production progressive water-filler.
 ///
 /// Reusable across reallocations: internal vectors are cleared, not
-/// reallocated. Per reallocation the cost is `O(n)` setup plus
-/// `O(C + live)` per filling round, against the naive reference's
-/// `O(n · C)` per round — same arithmetic, different data structures (see
-/// the module docs for the bit-identity contract).
+/// reallocated. One reallocation of `n` flows over `C` constraints costs
+/// an `O(n + C)` setup — per-flow constraint lists, per-constraint member
+/// lists and every constraint's fill level, each computed once — and then
+/// per filling round only the work the round changes:
+///
+/// * λ and the tight constraints come from one compare-only pass over the
+///   cached levels of the constraints that still have unfrozen members;
+/// * the round's flows are found by walking the tight constraints' member
+///   lists (each constraint is tight at most once, so all rounds together
+///   walk every list once);
+/// * only the constraints those flows belong to get a new level.
+///
+/// A constraint no frozen flow touches keeps its `(residual, unfrozen)`
+/// pair, so its cached level already has the bits the naive reference
+/// recomputes for it; see the module docs for the arithmetic contract.
 ///
 /// # Example
 ///
@@ -183,12 +211,27 @@ impl ConstraintSpec {
 #[derive(Debug)]
 pub struct FairShareAllocator {
     spec: ConstraintSpec,
+    /// Per constraint: remaining capacity, unfrozen member count and the
+    /// cached fill level `(residual / unfrozen).max(0.0)`, valid while
+    /// `unfrozen > 0`.
     residual: Vec<f64>,
     unfrozen: Vec<u32>,
+    level: Vec<f64>,
+    /// Per flow: its constraints in canonical order, and whether it froze.
     cons: Vec<[u32; 4]>,
     cons_len: Vec<u8>,
-    live: Vec<u32>,
-    marked: Vec<u32>,
+    frozen: Vec<bool>,
+    /// Member lists, flattened: constraint `c`'s flows are
+    /// `members[head[c]..head[c + 1]]`, in ascending flow order.
+    head: Vec<u32>,
+    members: Vec<u32>,
+    /// Constraints with unfrozen members, in ascending index order.
+    open: Vec<u32>,
+    /// Round scratch: the tight constraints, and the constraints whose
+    /// level the round changed (each once, deduplicated by `dirty`).
+    tight: Vec<u32>,
+    touched: Vec<u32>,
+    dirty: Vec<bool>,
 }
 
 impl FairShareAllocator {
@@ -199,10 +242,16 @@ impl FairShareAllocator {
             spec,
             residual: Vec::with_capacity(c),
             unfrozen: Vec::with_capacity(c),
+            level: Vec::with_capacity(c),
             cons: Vec::new(),
             cons_len: Vec::new(),
-            live: Vec::new(),
-            marked: Vec::new(),
+            frozen: Vec::new(),
+            head: Vec::with_capacity(c + 1),
+            members: Vec::new(),
+            open: Vec::with_capacity(c),
+            tight: Vec::new(),
+            touched: Vec::new(),
+            dirty: vec![false; c],
         }
     }
 
@@ -213,10 +262,9 @@ impl FairShareAllocator {
 
     /// Computes the max-min fair rate (bytes/second) of every flow.
     ///
-    /// `flows` must be sorted by ascending [`FlowId`] — the canonical
-    /// freezing order of the arithmetic contract (the engine collects the
-    /// flow table in that order). `rates` is cleared and filled so
-    /// `rates[i]` is the rate of `flows[i]`.
+    /// `flows` must be sorted by ascending [`FlowId`] (the engine keeps
+    /// its active-flow list in that order). `rates` is cleared and filled
+    /// so `rates[i]` is the rate of `flows[i]`.
     pub fn allocate(&mut self, flows: &[(FlowId, Voq)], rates: &mut Vec<f64>) {
         debug_assert!(
             flows.windows(2).all(|w| w[0].0 < w[1].0),
@@ -240,56 +288,101 @@ impl FairShareAllocator {
             self.cons.push(buf);
             self.cons_len.push(n as u8);
         }
-        self.live.clear();
-        self.live.extend(0..flows.len() as u32);
+        self.frozen.clear();
+        self.frozen.resize(flows.len(), false);
 
-        while !self.live.is_empty() {
-            // The round's fill level: the smallest per-constraint level
-            // among constraints that still have unfrozen members.
+        // Member lists: `head[c]` starts at the end of `c`'s range and
+        // counts down as the flows are placed, in reverse, so each list
+        // comes out ascending and `head[c]` ends at its start.
+        self.head.clear();
+        let mut end = 0u32;
+        self.head.extend(self.unfrozen.iter().map(|&count| {
+            end += count;
+            end
+        }));
+        self.head.push(end);
+        self.members.clear();
+        self.members.resize(end as usize, 0);
+        for f in (0..flows.len()).rev() {
+            for &cc in &self.cons[f][..self.cons_len[f] as usize] {
+                let slot = &mut self.head[cc as usize];
+                *slot -= 1;
+                self.members[*slot as usize] = f as u32;
+            }
+        }
+
+        self.level.clear();
+        self.level.resize(c, 0.0);
+        self.open.clear();
+        for i in 0..c {
+            if self.unfrozen[i] > 0 {
+                self.level[i] = (self.residual[i] / self.unfrozen[i] as f64).max(0.0);
+                self.open.push(i as u32);
+            }
+        }
+
+        loop {
+            // The round's fill level: the first smallest cached level in
+            // index order, as a `<` scan finds it; the tight constraints
+            // are those whose level has λ's exact bits. Constraints that
+            // ran out of unfrozen members leave the open list here.
             let mut lambda = f64::INFINITY;
-            for i in 0..c {
-                if self.unfrozen[i] > 0 {
-                    let level = (self.residual[i] / self.unfrozen[i] as f64).max(0.0);
-                    if level < lambda {
-                        lambda = level;
+            let (unfrozen, level, tight) = (&self.unfrozen, &self.level, &mut self.tight);
+            tight.clear();
+            self.open.retain(|&cc| {
+                let ci = cc as usize;
+                if unfrozen[ci] == 0 {
+                    return false;
+                }
+                if level[ci] < lambda {
+                    lambda = level[ci];
+                    tight.clear();
+                    tight.push(cc);
+                } else if level[ci].to_bits() == lambda.to_bits() {
+                    tight.push(cc);
+                }
+                true
+            });
+            if self.open.is_empty() {
+                break;
+            }
+            debug_assert!(lambda.is_finite(), "open constraints have finite levels");
+
+            // Freeze every unfrozen member of a tight constraint, marking
+            // against the pre-round levels. Each constraint's residual
+            // drops by λ once per member frozen: the same subtraction
+            // sequence whatever order the members are met in.
+            self.touched.clear();
+            for &t in &self.tight {
+                let t = t as usize;
+                let (lo, hi) = (self.head[t] as usize, self.head[t + 1] as usize);
+                for &f in &self.members[lo..hi] {
+                    let fi = f as usize;
+                    if self.frozen[fi] {
+                        continue;
+                    }
+                    self.frozen[fi] = true;
+                    rates[fi] = lambda;
+                    for &cc in &self.cons[fi][..self.cons_len[fi] as usize] {
+                        let ci = cc as usize;
+                        self.residual[ci] -= lambda;
+                        self.unfrozen[ci] -= 1;
+                        if !self.dirty[ci] {
+                            self.dirty[ci] = true;
+                            self.touched.push(cc);
+                        }
                     }
                 }
             }
-            debug_assert!(lambda.is_finite(), "live flows imply a finite level");
+            debug_assert!(!self.touched.is_empty(), "each round freezes a flow");
 
-            // Freeze every unfrozen flow touching a constraint at the
-            // round level. `live` is ascending, so `marked` is too.
-            self.marked.clear();
-            let (cons, cons_len, unfrozen, residual, marked) = (
-                &self.cons,
-                &self.cons_len,
-                &self.unfrozen,
-                &self.residual,
-                &mut self.marked,
-            );
-            self.live.retain(|&f| {
-                let fi = f as usize;
-                let hit = cons[fi][..cons_len[fi] as usize].iter().any(|&cc| {
-                    let ci = cc as usize;
-                    unfrozen[ci] > 0
-                        && ((residual[ci] / unfrozen[ci] as f64).max(0.0)).to_bits()
-                            == lambda.to_bits()
-                });
-                if hit {
-                    marked.push(f);
-                }
-                !hit
-            });
-            debug_assert!(!self.marked.is_empty(), "each round freezes a flow");
-
-            // Apply in ascending flow order, constraints in canonical
-            // order — the exact subtraction sequence of the contract.
-            for &f in &self.marked {
-                let fi = f as usize;
-                rates[fi] = lambda;
-                for &cc in &self.cons[fi][..self.cons_len[fi] as usize] {
-                    self.residual[cc as usize] -= lambda;
-                    self.unfrozen[cc as usize] -= 1;
+            // Only the touched constraints' `(residual, unfrozen)` pairs
+            // moved; every other cached level is still exact.
+            for &cc in &self.touched {
+                let ci = cc as usize;
+                self.dirty[ci] = false;
+                if self.unfrozen[ci] > 0 {
+                    self.level[ci] = (self.residual[ci] / self.unfrozen[ci] as f64).max(0.0);
                 }
             }
         }
@@ -568,11 +661,14 @@ where
     let mut generator = generator.into_iter();
 
     let mut table = FlowTable::new();
-    let mut meta: HashMap<FlowId, FlowMeta> = HashMap::new();
-    // Transmitting flows in ascending id order, with per-entry rates.
+    let mut meta: FastMap<FlowId, FlowMeta> = FastMap::default();
+    // Every active flow in ascending id order, kept so as flows arrive
+    // and complete: the allocator's input.
+    let mut active: Vec<(FlowId, Voq)> = Vec::new();
+    // Transmitting flows in ascending id order, with per-entry rates, and
+    // the previous reallocation's entries while the next one is bound.
     let mut entries: Vec<FairEntry> = Vec::new();
-    let mut carry: HashMap<FlowId, FairEntry> = HashMap::new();
-    let mut flows_sorted: Vec<(FlowId, Voq)> = Vec::new();
+    let mut prev: Vec<FairEntry> = Vec::new();
     let mut rates: Vec<f64> = Vec::new();
 
     let mut fct = FctRecorder::new();
@@ -648,6 +744,10 @@ where
                     completed_any = true;
                     lookup.remove(id);
                     entries.remove(i);
+                    let at = active
+                        .binary_search_by_key(&id, |&(f, _)| f)
+                        .expect("completed flow is active");
+                    active.remove(at);
                 } else {
                     i += 1;
                 }
@@ -675,6 +775,9 @@ where
                     arrival.size.as_u64(),
                 ))
                 .map_err(|e| FabricError::BadArrival(e.to_string()))?;
+            // Ids mostly arrive ascending, so this is usually a push.
+            let at = active.partition_point(|&(f, _)| f < arrival.id);
+            active.insert(at, (arrival.id, arrival.voq));
             meta.insert(
                 arrival.id,
                 FlowMeta {
@@ -707,15 +810,15 @@ where
 
         // --- reallocate on arrival or completion ---
         if arrived_any || completed_any {
-            flows_sorted.clear();
-            flows_sorted.extend(table.iter().map(|f| (f.id(), f.voq())));
-            flows_sorted.sort_unstable_by_key(|&(id, _)| id);
-            allocate(&flows_sorted, &mut rates);
-            carry.clear();
-            carry.extend(entries.drain(..).map(|e| (e.flow, e)));
-            for (i, &(id, voq)) in flows_sorted.iter().enumerate() {
+            debug_assert_eq!(active.len(), table.len(), "active list tracks the table");
+            allocate(&active, &mut rates);
+            // Both `active` and the old entries ascend by id, and every
+            // old entry is still active: one merge pass pairs them.
+            std::mem::swap(&mut entries, &mut prev);
+            let mut carried = prev.drain(..).peekable();
+            for (i, &(id, voq)) in active.iter().enumerate() {
                 let rate = Rate::from_bytes_per_sec(rates[i]);
-                match carry.remove(&id) {
+                match carried.next_if(|e| e.flow == id) {
                     // An unchanged rate keeps its drain epoch: the
                     // completion instant is bit-invariant to unrelated
                     // churn, and the calendar is not touched.
@@ -766,7 +869,10 @@ where
                     }
                 }
             }
-            debug_assert!(carry.is_empty(), "every active flow was reallocated");
+            debug_assert!(
+                carried.next().is_none(),
+                "every active flow was reallocated"
+            );
             reschedules += 1;
         }
     }
@@ -923,8 +1029,7 @@ mod tests {
             .oversubscription(4.0)
             .build()
             .unwrap();
-        let spec = ConstraintSpec::new(&topo, true);
-        let mut alloc = FairShareAllocator::new(spec.clone());
+        let mut alloc = FairShareAllocator::new(ConstraintSpec::new(&topo, true));
         // A messy mix: shared sources, shared destinations, intra- and
         // inter-rack flows.
         let flows: Vec<(FlowId, Voq)> = [
@@ -942,29 +1047,100 @@ mod tests {
         .iter()
         .map(|&(id, s, d)| (FlowId::new(id), Voq::new(HostId::new(s), HostId::new(d))))
         .collect();
-        let mut fast = Vec::new();
-        let mut naive = Vec::new();
-        alloc.allocate(&flows, &mut fast);
-        waterfill_naive(&spec, &flows, &mut naive);
-        assert_eq!(fast.len(), naive.len());
-        for (i, (a, b)) in fast.iter().zip(naive.iter()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "flow {i}: {a} vs {b}");
+        assert_allocations_agree(&mut alloc, &flows, "messy mix");
+    }
+
+    /// Asserts `allocate` and `waterfill_naive` agree to the bit on
+    /// `flows` and that the allocation is feasible.
+    fn assert_allocations_agree(
+        alloc: &mut FairShareAllocator,
+        flows: &[(FlowId, Voq)],
+        label: &str,
+    ) {
+        let spec = alloc.spec().clone();
+        let (mut fast, mut naive) = (Vec::new(), Vec::new());
+        alloc.allocate(flows, &mut fast);
+        waterfill_naive(&spec, flows, &mut naive);
+        assert_eq!(fast.len(), flows.len(), "{label}");
+        for (i, (a, b)) in fast.iter().zip(&naive).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{label}: flow {i}: {a} vs {b}");
         }
-        // And the allocation respects every constraint.
-        for c in 0..spec.len() {
-            let mut used = 0.0;
-            for (i, &(_, voq)) in flows.iter().enumerate() {
-                let mut buf = [0u32; 4];
-                let n = spec.constraints_of(voq, &mut buf);
-                if buf[..n].contains(&(c as u32)) {
-                    used += fast[i];
-                }
+        let mut used = vec![0.0; spec.len()];
+        for (&rate, &(_, voq)) in fast.iter().zip(flows) {
+            assert!(rate >= 0.0 && rate.is_finite(), "{label}: rate {rate}");
+            let mut buf = [0u32; 4];
+            let n = spec.constraints_of(voq, &mut buf);
+            for &c in &buf[..n] {
+                used[c as usize] += rate;
             }
+        }
+        for (c, &u) in used.iter().enumerate() {
             assert!(
-                used <= spec.cap(c) * (1.0 + 1e-9),
-                "constraint {c} oversubscribed: {used} > {}",
+                u <= spec.cap(c) * (1.0 + 1e-9),
+                "{label}: constraint {c} oversubscribed: {u} > {}",
                 spec.cap(c)
             );
+        }
+    }
+
+    #[test]
+    fn allocator_matches_naive_on_random_constraint_systems() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let k4 = KAryFatTree::builder(4)
+            .hosts_per_edge(4)
+            .oversubscription(2.0)
+            .build()
+            .unwrap();
+        let paper = FatTree::scaled(2, 4, 1).unwrap();
+        let topos: [(&str, &dyn Topology); 2] = [("k4-2:1", &k4), ("fat-tree-8", &paper)];
+        for (name, topo) in topos {
+            let hosts = topo.num_hosts();
+            let per_rack = topo.hosts_per_rack();
+            for enforce_core in [false, true] {
+                // One allocator per system, reused across cases as the
+                // engine reuses it across events.
+                let mut alloc = FairShareAllocator::new(ConstraintSpec::new(topo, enforce_core));
+                let mut rng = StdRng::seed_from_u64(0x5eed ^ hosts as u64 ^ enforce_core as u64);
+                for case in 0..60 {
+                    let n = match case % 6 {
+                        0 => 1,
+                        1 => 512,
+                        _ => rng.gen_range(1..=128usize),
+                    };
+                    // Shapes: anywhere-to-anywhere; two hot NICs with
+                    // equal fan-out, so their levels tie in one round;
+                    // all traffic between two racks.
+                    let shape = case % 3;
+                    let mut id = 0u64;
+                    let flows: Vec<(FlowId, Voq)> = (0..n)
+                        .map(|i| {
+                            id += rng.gen_range(1..5u64);
+                            let (src, dst) = match shape {
+                                0 => {
+                                    let src = rng.gen_range(0..hosts);
+                                    (src, (src + rng.gen_range(1..hosts)) % hosts)
+                                }
+                                1 => {
+                                    let src = (i % 2) as u32;
+                                    (src, 2 + rng.gen_range(0..hosts - 2))
+                                }
+                                _ => (
+                                    rng.gen_range(0..per_rack),
+                                    per_rack + rng.gen_range(0..per_rack),
+                                ),
+                            };
+                            (
+                                FlowId::new(id),
+                                Voq::new(HostId::new(src), HostId::new(dst)),
+                            )
+                        })
+                        .collect();
+                    let label = format!("{name}/core={enforce_core}/case {case} ({n} flows)");
+                    assert_allocations_agree(&mut alloc, &flows, &label);
+                }
+            }
         }
     }
 

@@ -81,10 +81,10 @@ use dcn_probe::{
     ArrivalEvent, BacklogSampler, CompletionEvent, DecisionEvent, DrainEvent, NoProbe, Probe,
     SampleEvent,
 };
-use dcn_types::{Bytes, SimTime};
+use dcn_types::{Bytes, FastMap, SimTime};
 use dcn_workload::FlowArrival;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::time::Instant;
@@ -243,7 +243,7 @@ pub struct OnlineFabric<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: 
     /// exactly, in either mode.
     eager_reason: Option<EagerReason>,
     table: FlowTable,
-    meta: HashMap<dcn_types::FlowId, FlowMeta>,
+    meta: FastMap<dcn_types::FlowId, FlowMeta>,
     alloc: DeltaAllocator,
     /// The core filter: one aggregate plane, or the topology's planes for
     /// the single-path ECMP and RepFlow runs (never snapshotted — those
@@ -315,7 +315,7 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
             enforce_core,
             eager_reason,
             table: FlowTable::new(),
-            meta: HashMap::new(),
+            meta: FastMap::default(),
             alloc: DeltaAllocator::new(edge_rate),
             budgets: CoreBudgets::new(topo, 1),
             races: None,
@@ -400,7 +400,7 @@ impl<'t, 's, T: Topology + ?Sized, S: Scheduler + ?Sized, P: Probe> OnlineFabric
                 snapshot.flows.len()
             )));
         }
-        let mut meta = HashMap::with_capacity(snapshot.metas.len());
+        let mut meta = FastMap::with_capacity_and_hasher(snapshot.metas.len(), Default::default());
         for m in &snapshot.metas {
             if table.get(m.flow).is_none() {
                 return Err(bad(format!("metadata for unknown flow {}", m.flow)));

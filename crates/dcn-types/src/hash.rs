@@ -24,8 +24,9 @@ const MULTIPLIER: u64 = 0x517c_c1b7_2722_0a95;
 /// a collision costs time, never correctness. The one place keys come from
 /// outside — flow ids fed to a fabric through its online API — lets a
 /// caller slow down only its own run. The maps built on this hasher are
-/// only probed, never iterated, so it cannot change any output order
-/// either.
+/// only probed, never iterated on a path that produces output (the flow
+/// table's invariant check walks its VOQ index, but only to find a
+/// violation), so it cannot change any output order either.
 ///
 /// # Example
 ///

@@ -87,11 +87,17 @@ impl Rate {
     /// route through it so truncation behaves identically everywhere. The
     /// fabric engine anchors the conversion at each flow's drain epoch and
     /// takes differences of this monotone integer target, so the single
-    /// floor here never accumulates across events; completion instants are
-    /// derived analytically via [`Rate::transfer_time`], never from
-    /// repeated `bytes_in` calls.
+    /// truncation here never accumulates across events; completion
+    /// instants are derived analytically via [`Rate::transfer_time`], never
+    /// from repeated `bytes_in` calls.
+    ///
+    /// The truncation is the float-to-integer cast itself: it takes a
+    /// non-negative product to its floor, and the `max` sends negatives
+    /// and NaN to zero. That equals `floor().max(0.0) as u64` for every
+    /// `f64` without the `floor` call, which baseline x86-64 has no
+    /// instruction for.
     pub fn bytes_in(self, elapsed: SimTime) -> Bytes {
-        Bytes::new((self.0 * elapsed.as_secs()).floor().max(0.0) as u64)
+        Bytes::new((self.0 * elapsed.as_secs()).max(0.0) as u64)
     }
 
     /// The smaller of two rates.
@@ -172,6 +178,57 @@ mod tests {
     #[should_panic(expected = "rate must be finite")]
     fn negative_rate_panics() {
         let _ = Rate::from_bytes_per_sec(-1.0);
+    }
+
+    #[test]
+    fn bytes_in_truncation_is_the_floor_for_every_f64() {
+        let floored = |x: f64| x.floor().max(0.0) as u64;
+        let truncated = |x: f64| x.max(0.0) as u64;
+        let two53 = 2f64.powi(53);
+        let two64 = 2f64.powi(64);
+        let edges = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            1e-300,
+            0.25,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            1.0 + f64::EPSILON,
+            7.999_999_999,
+            8.0,
+            1_250_000.0,
+            1_250_000.000_000_2,
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            two64 - 2048.0,
+            two64,
+            two64 * 4.0,
+            f64::MAX,
+            f64::INFINITY,
+            -f64::MIN_POSITIVE,
+            -0.5,
+            -1.0,
+            -1e300,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for x in edges {
+            assert_eq!(truncated(x), floored(x), "{x:e}");
+        }
+        // And through the public conversion, on non-negative products.
+        for x in edges.into_iter().filter(|x| *x >= 0.0) {
+            for (rate, secs) in [(x, 1.0), (1.0, x)] {
+                if !rate.is_finite() {
+                    continue; // not a Rate
+                }
+                let got = Rate::from_bytes_per_sec(rate).bytes_in(SimTime::from_secs(secs));
+                assert_eq!(got.as_u64(), floored(rate * secs), "{rate:e} x {secs:e}");
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Differential tests for the max-min fair-share fabric engine.
 //!
 //! `dcn_fabric::simulate_fair_share` is the production engine: the
-//! incremental `FairShareAllocator` (per-flow constraint lists, compacted
-//! live set, targeted calendar updates) driving the delta-style fair
-//! event loop. `dcn_fabric::reference::simulate_fair_share_naive` is a
-//! genuinely different implementation: an `O(n·C)`-per-round water-filler
+//! `FairShareAllocator` (cached constraint levels, member lists, only
+//! touched constraints re-levelled per round) driving the delta-style
+//! fair event loop (an id-ordered active list, a merge-join rebind,
+//! targeted calendar updates).
+//! `dcn_fabric::reference::simulate_fair_share_naive` is a genuinely
+//! different implementation: an `O(n·C)`-per-round water-filler
 //! that rescans every flow for every constraint, with a linear completion
 //! scan. Both follow the canonical water-filling arithmetic contract
 //! spelled out in the `fairshare` module docs, so every observable —
@@ -71,27 +73,85 @@ fn production_matches_naive_reference_bitwise() {
             let label = format!("{topo_name}/seed{seed}");
             let cfg = config(0.05);
             let arrivals = arrivals_for(topo.as_ref(), 0.85, seed, cfg.horizon);
-            let mut fast_probe = FnvProbe::new();
-            let fast =
-                simulate_fair_share_probed(topo.as_ref(), arrivals.clone(), cfg, &mut fast_probe)
-                    .expect("valid simulation");
-            let mut naive_probe = FnvProbe::new();
-            let naive = reference::simulate_fair_share_naive_probed(
-                topo.as_ref(),
-                arrivals,
-                cfg,
-                &mut naive_probe,
-            )
-            .expect("valid simulation");
-            assert_bit_identical(&fast, &naive, &label);
-            assert_eq!(
-                fast_probe.hash, naive_probe.hash,
-                "{label}: probe event streams must be identical"
-            );
-            assert_conserved(&fast, &label);
+            let fast = assert_matches_naive(topo.as_ref(), &arrivals, cfg, &label);
             assert!(fast.completions > 0, "{label}: non-trivial run");
         }
     }
+}
+
+/// Runs the production and the naive fair-share engines on `arrivals`
+/// and asserts the runs and their full probe event streams match bit for
+/// bit.
+fn assert_matches_naive(
+    topo: &dyn Topology,
+    arrivals: &[FlowArrival],
+    cfg: SimConfig,
+    label: &str,
+) -> basrpt::fabric::FabricRun {
+    let mut fast_probe = FnvProbe::new();
+    let fast = simulate_fair_share_probed(topo, arrivals.to_vec(), cfg, &mut fast_probe)
+        .expect("valid simulation");
+    let mut naive_probe = FnvProbe::new();
+    let naive =
+        reference::simulate_fair_share_naive_probed(topo, arrivals.to_vec(), cfg, &mut naive_probe)
+            .expect("valid simulation");
+    assert_bit_identical(&fast, &naive, label);
+    assert_eq!(
+        fast_probe.hash, naive_probe.hash,
+        "{label}: probe event streams must be identical"
+    );
+    assert_conserved(&fast, label);
+    fast
+}
+
+/// The production loop keeps its active flows ordered by id as they
+/// arrive and complete; ids need not arrive in order, and an id may come
+/// back once its flow has completed. Generated traffic with scrambled
+/// ids, and a script that reuses two ids, both match the naive engine.
+#[test]
+fn non_monotone_and_reused_flow_ids_match_naive_reference() {
+    use basrpt::types::{Bytes, FlowClass, FlowId, HostId, Voq};
+
+    for (topo_name, topo) in &topologies() {
+        for seed in [4u64, 5] {
+            let cfg = config(0.02);
+            let mut arrivals = arrivals_for(topo.as_ref(), 0.85, seed, cfg.horizon);
+            // Multiplying by an odd constant permutes the u64s, so the
+            // scrambled ids stay distinct.
+            for a in &mut arrivals {
+                a.id = FlowId::new(a.id.raw().wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            }
+            let label = format!("{topo_name}/seed{seed}/scrambled ids");
+            let run = assert_matches_naive(topo.as_ref(), &arrivals, cfg, &label);
+            assert_eq!(run.arrivals, arrivals.len(), "{label}");
+            assert!(run.completions > 0, "{label}: non-trivial run");
+        }
+    }
+
+    let topo = FatTree::scaled(2, 4, 1).expect("valid scaled fat-tree");
+    let flow = |id: u64, us: f64, src: u32, dst: u32, size: u64| FlowArrival {
+        id: FlowId::new(id),
+        time: SimTime::from_micros(us),
+        voq: Voq::new(HostId::new(src), HostId::new(dst)),
+        size: Bytes::new(size),
+        class: FlowClass::Background,
+    };
+    let arrivals = [
+        flow(9, 0.0, 0, 1, 3_000_000),
+        flow(4, 0.0, 0, 2, 2_000),
+        flow(6, 10.0, 2, 1, 500_000),
+        flow(1, 20.0, 3, 4, 1_000),
+        // Flows 4 and 1 completed within a few microseconds: their ids
+        // come back for new flows.
+        flow(4, 50.0, 5, 1, 80_000),
+        flow(2, 60.0, 0, 5, 10_000),
+        flow(1, 100.0, 6, 7, 40_000),
+        flow(12, 100.0, 7, 0, 900_000),
+        flow(0, 200.0, 1, 0, 20_000),
+    ];
+    let run = assert_matches_naive(&topo, &arrivals, config(0.02), "reused ids");
+    assert_eq!(run.arrivals, arrivals.len());
+    assert_eq!(run.completions, arrivals.len(), "every flow finishes");
 }
 
 /// Fair-share is rack-separable: the sharded engine reproduces the
